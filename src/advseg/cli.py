@@ -179,9 +179,9 @@ def cmd_train(args) -> int:
     tcfg = train_config_from(cfg)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
-    state_spec = TR.init_state(tcfg)
-    N.save_spec(state_spec.seg_spec, out_dir / "segmenter.spec")
-    N.save_spec(state_spec.adv_spec, out_dir / "adversary.spec")
+    seg_spec, adv_spec = TR.network_specs(tcfg)
+    N.save_spec(seg_spec, out_dir / "segmenter.spec")
+    N.save_spec(adv_spec, out_dir / "adversary.spec")
     if record.best_seg_params is not None:
         N.save_params(record.best_seg_params, out_dir / "segmenter.ckpt")
         N.save_params(record.best_adv_params, out_dir / "adversary.ckpt")

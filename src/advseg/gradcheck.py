@@ -109,6 +109,15 @@ def _layer_cases():
     yield "conv2d_dilated", x, make_conv(1, 2, 2)
     yield "conv2d_kernel", kern, lambda t: _sq_sum(
         L.conv2d(x, L.ConvParams(t, bias, 1, 1, 1)))
+    yield "conv2d_kernel_strided", kern, lambda t: _sq_sum(
+        L.conv2d(x, L.ConvParams(t, bias, 2, 1, 1)))
+    yield "conv2d_kernel_dilated", kern, lambda t: _sq_sum(
+        L.conv2d(x, L.ConvParams(t, bias, 1, 2, 2)))
+    # 2x3 kernel, stride 3 on a padded extent of 8: the output never reads
+    # input rows 1 and 4 or column 5, so their gradient must be exactly zero
+    rect = T.Tensor(kern.data[:, :, :2, :])
+    yield "conv2d_rect_strided", x, lambda t: _sq_sum(
+        L.conv2d(t, L.ConvParams(rect, bias, 3, 1, 1)))
     yield "conv2d_bias", bias, lambda t: _sq_sum(
         L.conv2d(x, L.ConvParams(kern, t, 1, 1, 1)))
 

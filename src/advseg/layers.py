@@ -3,15 +3,31 @@ pooling, activations, per-pixel softmax, and local contrast normalization.
 
 Convolution uses cross-correlation semantics (no kernel flip), symmetric
 zero-padding only. All tensors are NCHW.
+
+Every convolution product goes through one routine, :func:`_correlate`:
+im2col of a zero grid into a per-thread column buffer that is reused from
+call to call, then one batched ``np.matmul``. The forward pass correlates
+the padded input with the kernel. The input gradient correlates the output
+gradient, zero-dilated by the stride and padded by the effective kernel
+extent, with the flipped, transposed kernel (Dumoulin & Visin, "A guide to
+convolution arithmetic", arXiv 1603.07285). The graph keeps no columns:
+when the kernel gradient is needed, backward rebuilds them into the same
+buffer. Backward computes only the gradients whose operands required one
+when the op was built.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _make, max_with_scalar
+
+# per-thread scratch memory for _im2col, grown (never shrunk) to the largest
+# request so far; every call reuses it, so nothing kept may be a view of it
+_workspace = threading.local()
 
 
 @dataclass
@@ -44,9 +60,66 @@ def conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: in
     return (extent + 2 * padding - (dilation * (k - 1) + 1)) // stride + 1
 
 
+def _kept(offset: int, step: int, count: int, extent: int) -> slice:
+    """Indices i < count whose position offset + i*step lies in [0, extent)."""
+    return slice(max(0, -(offset // step)),
+                 min(count, (extent - 1 - offset) // step + 1))
+
+
+def _im2col(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
+            dilation: int) -> np.ndarray:
+    """im2col columns (n, c, kh, kw, hout, wout) of a zero grid that holds
+    ``a`` (n, c, ah, aw); both live in this thread's scratch buffer, valid
+    until the next call.
+
+    ``place`` is (step, top, left, height, width): the grid is
+    (n, c, height, width) and ``a[..., i, j]`` sits at (top + i*step,
+    left + j*step). Entries of ``a`` that fall outside the grid are dropped.
+    """
+    step, top, left, height, width = place
+    n, c, ah, aw = a.shape
+    hout = conv_out_extent(height, kh, stride, dilation, 0)
+    wout = conv_out_extent(width, kw, stride, dilation, 0)
+    n_grid = n * c * height * width
+    n_all = n_grid + n * c * kh * kw * hout * wout
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < n_all:
+        buf = _workspace.buf = np.empty(n_all)
+    grid = buf[:n_grid].reshape(n, c, height, width)
+    grid.fill(0.0)
+    ri, rj = _kept(top, step, ah, height), _kept(left, step, aw, width)
+    if ri.start < ri.stop and rj.start < rj.stop:
+        grid[:, :, top + ri.start * step: top + (ri.stop - 1) * step + 1: step,
+             left + rj.start * step: left + (rj.stop - 1) * step + 1: step] = a[:, :, ri, rj]
+    s0, s1, s2, s3 = grid.strides
+    windows = np.lib.stride_tricks.as_strided(
+        grid, shape=(n, c, kh, kw, hout, wout),
+        strides=(s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride))
+    cols = buf[n_grid: n_all].reshape(windows.shape)
+    np.copyto(cols, windows)
+    return cols
+
+
+def _correlate(a: np.ndarray, place: tuple, kernel: np.ndarray, stride: int,
+               dilation: int) -> np.ndarray:
+    """Cross-correlate ``kernel`` (cout, c, kh, kw) with the grid that
+    ``place`` makes of ``a`` (see :func:`_im2col`); the result
+    (n, cout, hout, wout) is a fresh array."""
+    cout, _, kh, kw = kernel.shape
+    cols = _im2col(a, place, kh, kw, stride, dilation)
+    n, c, _, _, hout, wout = cols.shape
+    out = np.matmul(kernel.reshape(cout, c * kh * kw),
+                    cols.reshape(n, c * kh * kw, hout * wout))
+    return out.reshape(n, cout, hout, wout)
+
+
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     """Cross-correlate ``x`` (N, Cin, H, W) with ``p``; differentiable in
-    the input, kernel, and bias."""
+    the input, kernel, and bias.
+
+    Backward returns a gradient only for the operands that required one
+    when the op was built, and ``None`` for the others.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4D, got {x.shape}")
     n, cin, h, w = x.shape
@@ -61,37 +134,32 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d: non-positive output extent ({hout}x{wout}) for input "
             f"{h}x{w}, kernel {kh}x{kw}, stride {st}, dilation {dil}, padding {pad}")
 
-    xd = x.data
-    if pad:
-        xd = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    kd = p.kernel.data
-
-    # column tensor laid out (c, kh, kw, n, ho, wo) so every contraction
-    # below reshapes without copying the big operand
-    s0, s1, s2, s3 = xd.strides
-    cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        xd, shape=(cin, kh, kw, n, hout, wout),
-        strides=(s1, s2 * dil, s3 * dil, s0, s2 * st, s3 * st)))
-
-    out = np.moveaxis(
-        np.tensordot(kd, cols, axes=([1, 2, 3], [0, 1, 2])), 0, 1)
+    xd, kd = x.data, p.kernel.data
+    padded = (1, pad, pad, h + 2 * pad, w + 2 * pad)
+    out = _correlate(xd, padded, kd, st, dil)
     out += p.bias.data.reshape(1, cout, 1, 1)
-    out = np.ascontiguousarray(out)
+    need_x, need_k, need_b = (x.requires_grad, p.kernel.requires_grad,
+                              p.bias.requires_grad)
 
     def bw(g):
-        gk = np.moveaxis(
-            np.tensordot(cols, g, axes=([3, 4, 5], [0, 2, 3])), 3, 0)
-        gcols = np.tensordot(kd, g, axes=([0], [1]))  # (c, kh, kw, n, ho, wo)
-        gx_pad = np.zeros_like(xd)
-        for i in range(kh):
-            for j in range(kw):
-                gx_pad[:, :,
-                       i * dil: i * dil + (hout - 1) * st + 1: st,
-                       j * dil: j * dil + (wout - 1) * st + 1: st] += \
-                    np.moveaxis(gcols[:, i, j], 1, 0)
-        gx = gx_pad[:, :, pad: pad + h, pad: pad + w] if pad else gx_pad
-        gb = g.sum(axis=(0, 2, 3))
-        return (gx, np.ascontiguousarray(gk), gb)
+        gx = gk = gb = None
+        if need_x:
+            # stride-1 correlation with the flipped, transposed kernel of the
+            # output gradient spread onto the stride grid and padded by the
+            # effective kernel extent less the forward padding; input
+            # positions the forward never read come out exactly zero
+            eh, ew = dil * (kh - 1), dil * (kw - 1)
+            spread = (st, eh - pad, ew - pad, h + eh, w + ew)
+            gx = _correlate(g, spread, kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                            1, dil)
+        if need_k:
+            cols = _im2col(xd, padded, kh, kw, st, dil)
+            gk = np.matmul(g.reshape(n, cout, hout * wout),
+                           cols.reshape(n, cin * kh * kw, hout * wout)
+                           .transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
+        if need_b:
+            gb = g.sum(axis=(0, 2, 3))
+        return (gx, gk, gb)
 
     return _make(out, "conv2d", [x, p.kernel, p.bias], bw)
 

@@ -44,9 +44,8 @@ def expand_mask(mask, shape) -> np.ndarray:
     n, c, h, w = shape
     if m.shape == (h, w):
         m = m[None]
-    if m.shape != (n, h, w) and not (m.shape[0] == 1 and n > 1):
-        if m.shape != (n, h, w):
-            raise ShapeError(f"mask shape {m.shape} does not match {shape}")
+    if not (m.shape[1:] == (h, w) and m.shape[0] in (1, n)):
+        raise ShapeError(f"mask shape {m.shape} does not match {shape}")
     return np.ascontiguousarray(np.broadcast_to(m[:, None], shape))
 
 

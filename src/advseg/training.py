@@ -95,13 +95,19 @@ class TrainState:
     loss_history: list = field(default_factory=list)  # (iter, player, loss)
 
 
-def init_state(cfg: TrainConfig) -> TrainState:
+def network_specs(cfg: TrainConfig) -> tuple[N.NetSpec, N.NetSpec]:
+    """(segmenter, adversary) architectures that ``cfg`` trains."""
     seg_spec = N.build_segmenter(cfg.num_classes, cfg.channels_base,
                                  cfg.n_context_layers)
     adv_spec = N.build_adversary(adversary_in_channels(cfg), cfg.adversary_fov,
                                  cfg.adversary_capacity,
                                  two_branch=cfg.encoding.include_image,
                                  head=cfg.adversary_head)
+    return seg_spec, adv_spec
+
+
+def init_state(cfg: TrainConfig) -> TrainState:
+    seg_spec, adv_spec = network_specs(cfg)
     return TrainState(
         cfg=cfg,
         seg_spec=seg_spec,

@@ -35,6 +35,32 @@ def conv2d_naive(x, kernel, bias, stride=1, dilation=1, padding=0):
     return out
 
 
+def conv2d_grads_naive(x, kernel, g, stride=1, dilation=1, padding=0):
+    """Input and kernel gradients of conv2d_naive for output gradient g,
+    by scattering every multiply-add of the forward sum back to both of its
+    operands."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding: padding + h, padding: padding + w] = x
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel, dtype=float)
+    _, _, hout, wout = g.shape
+    for ni in range(n):
+        for oc in range(cout):
+            for oi in range(hout):
+                for oj in range(wout):
+                    go = g[ni, oc, oi, oj]
+                    for ic in range(cin):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                r = oi * stride + ki * dilation
+                                c = oj * stride + kj * dilation
+                                gk[oc, ic, ki, kj] += go * xp[ni, ic, r, c]
+                                gxp[ni, ic, r, c] += go * kernel[oc, ic, ki, kj]
+    return gxp[:, :, padding: padding + h, padding: padding + w], gk
+
+
 def dilate_kernel(kernel, d):
     """Insert d-1 zero rows/columns between kernel taps."""
     cout, cin, kh, kw = kernel.shape

@@ -98,6 +98,17 @@ def test_train_divergence_maps_to_exit_2(tmp_path, data_dir, monkeypatch):
         "status=diverged diverged_at=7")
 
 
+def test_train_initializes_networks_once(tmp_path, data_dir, monkeypatch):
+    calls = []
+    real = cli.TR.init_state
+    monkeypatch.setattr(cli.TR, "init_state",
+                        lambda cfg: calls.append(cfg) or real(cfg))
+    code = run("train", "--data", str(data_dir), "--out", str(tmp_path / "once"),
+               *SMALL_NET, "--set", "max_iters=2", "--set", "eval_every=2")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_eval_outputs_and_determinism(tmp_path, data_dir, run_dir):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     for out in (out1, out2):

@@ -1,6 +1,12 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import advseg.layers as layers
+from advseg.gradcheck import TOLERANCE, _layer_cases
 from advseg.layers import (
     ConvParams,
     channel_softmax,
@@ -12,7 +18,7 @@ from advseg.layers import (
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
 
-from oracles import conv2d_naive, dilate_kernel
+from oracles import conv2d_grads_naive, conv2d_naive, dilate_kernel
 
 
 def _params(kernel, bias=None, **kw):
@@ -84,6 +90,148 @@ def test_conv_grad_check_all_leaves():
 
     for leaf in (x, k, b):
         assert grad_check(loss_wrt(leaf), leaf) < 1e-4
+
+
+# (stride, dilation, padding, kh, kw): square and rectangular kernels,
+# strides that do and do not divide the padded extent, and padding wider
+# than the effective kernel extent
+CONV_GEOMETRIES = [(1, 1, 0, 3, 3), (2, 1, 1, 3, 3), (1, 2, 2, 3, 3),
+                   (2, 2, 1, 2, 3), (3, 1, 1, 3, 2), (1, 3, 3, 1, 3),
+                   (3, 1, 2, 1, 1), (2, 1, 0, 4, 1)]
+
+
+def test_conv_backward_matches_loop_oracle():
+    rng = np.random.default_rng(10)
+    for stride, dilation, padding, kh, kw in CONV_GEOMETRIES:
+        x = Tensor(rng.normal(size=(2, 3, 9, 8)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, kh, kw)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        out = conv2d(x, ConvParams(k, b, stride, dilation, padding))
+        g = rng.normal(size=out.shape)
+        gx, gk, gb = out.node.backward_fn(g)
+        want_gx, want_gk = conv2d_grads_naive(x.data, k.data, g, stride,
+                                              dilation, padding)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gk, want_gk, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def test_conv_input_grad_exactly_zero_where_never_read():
+    # 2x3 kernel, stride 3, padding 1 on 6x6: padded rows 2 and 5 and
+    # padded column 6 are never read, i.e. input rows 1, 4 and column 5
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 2, 3)))
+    out = conv2d(x, ConvParams(k, Tensor(np.zeros(3)), 3, 1, 1))
+    gx = out.node.backward_fn(rng.normal(size=out.shape))[0]
+    unread = np.zeros((6, 6), dtype=bool)
+    unread[[1, 4], :] = True
+    unread[:, 5] = True
+    assert np.all(gx[:, :, unread] == 0.0)
+    assert np.all(gx[:, :, ~unread] != 0.0)
+
+
+def test_conv_backward_only_for_operands_that_required_grad():
+    rng = np.random.default_rng(12)
+    xd, kd, bd = (rng.normal(size=(1, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3)),
+                  rng.normal(size=3))
+    for flags in itertools.product((False, True), repeat=3):
+        if not any(flags):
+            continue
+        x, k, b = (Tensor(d, requires_grad=f) for d, f in zip((xd, kd, bd), flags))
+        out = conv2d(x, ConvParams(k, b, stride=2, padding=1))
+        # flags set after the op is built do not change what backward computes
+        for t in (x, k, b):
+            t.requires_grad = True
+        grads = out.node.backward_fn(np.ones(out.shape))
+        assert [gr is not None for gr in grads] == list(flags)
+
+
+def test_conv_consecutive_calls_leave_earlier_results_unchanged():
+    rng = np.random.default_rng(13)
+
+    def op(shape, kshape, **geom):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        p = ConvParams(Tensor(rng.normal(size=kshape), requires_grad=True),
+                       Tensor(rng.normal(size=kshape[0]), requires_grad=True), **geom)
+        return x, p
+
+    x1, p1 = op((2, 3, 7, 6), (4, 3, 3, 2), stride=2, padding=1)
+    first = conv2d(x1, p1)
+    fresh = conv2d(x1, p1)
+    g1 = rng.normal(size=first.shape)
+    want_out = fresh.data.copy()
+    want_grads = [a.copy() for a in fresh.node.backward_fn(g1)]
+    # the second call is larger, so it also grows the shared column buffer
+    x2, p2 = op((3, 5, 12, 12), (6, 5, 3, 3), dilation=2, padding=2)
+    second = conv2d(x2, p2)
+    np.testing.assert_array_equal(first.data, want_out)
+    grads = first.node.backward_fn(g1)
+    second.node.backward_fn(rng.normal(size=second.shape))
+    conv2d(x1, p1).node.backward_fn(g1)
+    np.testing.assert_array_equal(first.data, want_out)
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv_threads_do_not_share_columns():
+    rng = np.random.default_rng(14)
+    jobs = []
+    for i in range(4):
+        x = Tensor(rng.normal(size=(2, 3, 10 + 2 * i, 9)), requires_grad=True)
+        p = ConvParams(Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True),
+                       Tensor(rng.normal(size=4)), dilation=1 + i % 2, padding=1)
+        out = conv2d(x, p)
+        g = rng.normal(size=out.shape)
+        jobs.append((x, p, g, out.data, out.node.backward_fn(g)))
+    mismatches = []
+
+    def work(x, p, g, want_out, want_grads):
+        for _ in range(30):
+            out = conv2d(x, p)
+            grads = out.node.backward_fn(g)
+            if not (np.array_equal(out.data, want_out) and all(
+                    np.array_equal(a, b) for a, b in zip(grads[:2], want_grads[:2]))):
+                mismatches.append(x.shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_gradcheck_flags_conv_input_grad_with_unflipped_kernel(monkeypatch):
+    """Negative control: an input gradient that correlates with the kernel
+    as stored (unflipped) must fail every conv input-gradient case."""
+    real = layers.conv2d
+
+    def unflipped(x, p):
+        out = real(x, p)
+        if x.requires_grad:
+            # the input gradient of a conv with the flipped kernel is the
+            # correlation with the unflipped one
+            q = ConvParams(Tensor(p.kernel.data[:, :, ::-1, ::-1]), p.bias,
+                           p.stride, p.dilation, p.padding)
+            wrong = real(x, q).node.backward_fn
+            right = out.node.backward_fn
+            out.node.backward_fn = lambda g: (wrong(g)[0],) + right(g)[1:]
+        return out
+
+    monkeypatch.setattr(layers, "conv2d", unflipped)
+    input_cases = [(name, x, f) for name, x, f in _layer_cases()
+                   if name.startswith("conv2d")
+                   and not name.startswith(("conv2d_kernel", "conv2d_bias"))]
+    assert len(input_cases) == 4
+    for name, x, f in input_cases:
+        assert grad_check(f, x) > TOLERANCE, name
 
 
 def test_maxpool_single_window():

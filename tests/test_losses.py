@@ -9,6 +9,7 @@ from advseg.losses import (
     adversary_objective,
     apply_void_zeroing,
     bce_loss,
+    expand_mask,
     hybrid_loss,
     mce_loss,
     segmenter_objective,
@@ -248,3 +249,15 @@ def test_objectives_finite_under_extreme_inputs():
               segmenter_objective(pred, target, mask, adv, cfg),
               hybrid_loss(pred, target, mask, adv, adv, cfg)):
         assert np.isfinite(v.item())
+
+
+def test_expand_mask_shapes():
+    shape = (2, 3, 4, 4)
+    rng = np.random.default_rng(0)
+    per_image = rng.integers(0, 2, size=(2, 4, 4)).astype(float)
+    np.testing.assert_array_equal(expand_mask(per_image, shape)[:, 1], per_image)
+    for shared in (per_image[0], per_image[:1]):
+        np.testing.assert_array_equal(expand_mask(shared, shape)[1, 2], per_image[0])
+    for bad in ((1, 5, 5), (5, 5), (3, 4, 4), (2, 4, 5), (2, 4), (2, 1, 4, 4), ()):
+        with pytest.raises(ShapeError):
+            expand_mask(np.ones(bad), shape)
