@@ -193,20 +193,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(ckpt_dir: Path):
+def _load_model(ckpt_dir: Path, num_classes: int):
+    """(spec, params) of the checkpoint's segmenter, which must predict
+    ``num_classes`` classes."""
     spec_path = ckpt_dir / "segmenter.spec"
     params_path = ckpt_dir / "segmenter.ckpt"
     if not spec_path.exists() or not params_path.exists():
         raise CliError(f"no checkpoint in {ckpt_dir}", EXIT_IO)
-    return N.load_spec(spec_path), N.load_params(params_path)
+    spec = N.load_spec(spec_path)
+    if spec.out_channels != num_classes:
+        raise CliError(
+            f"num_classes={num_classes}, but the segmenter in {ckpt_dir} "
+            f"predicts {spec.out_channels} classes", EXIT_FAIL)
+    return spec, N.load_params(params_path)
 
 
 def cmd_eval(args) -> int:
     cfg = effective_config(args)
     ds = _load_dataset(args.data)
-    spec, params = _load_model(Path(args.ckpt))
-    out_dir = _prepare_out_dir(cfg, args.out)
     tcfg = train_config_from(cfg)
+    spec, params = _load_model(Path(args.ckpt), tcfg.num_classes)
+    out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
 
@@ -243,11 +250,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_export_maps(args) -> int:
     cfg = effective_config(args)
     ds = _load_dataset(args.data)
-    spec, params = _load_model(Path(args.ckpt))
-    out_dir = _prepare_out_dir(cfg, args.out)
     tcfg = train_config_from(cfg)
+    spec, params = _load_model(Path(args.ckpt), tcfg.num_classes)
+    out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     count = min(int(cfg["export_count"]), len(ds.val))
+    params = N.detach_params(params)
     for sample in ds.val[:count]:
         img = TR.preprocess_images(sample.image[None], tcfg)
         probs = N.forward(spec, params, Tensor(img)).data[0]

@@ -10,12 +10,23 @@ dataset gets exactly ``reference_tolerance_px`` pixels.
 Boundary definition: a pixel of class c is a boundary point if it lies on
 the image border or has a 4-neighbor with a different non-VOID label.
 Distances are exact Euclidean, compared through integer squared distances.
+
+BF works on boolean masks, never on point-pair distance matrices. The
+boundary test does not depend on the class, so one mask per label map
+serves every class (class c's boundary is that mask AND ``labels == c``).
+"Within tolerance of the other map's boundary" is that boundary dilated by
+the disk dy*dy + dx*dx <= tol*tol, built as a union of row runs: row offset
+dy covers |dx| <= h(dy), the largest integer with h*h + dy*dy <= tol*tol,
+found by comparing Python integers with the float tol*tol. That is the
+same integer-versus-``tol*tol`` test a brute-force search over point pairs
+makes, so a point is a hit under one method exactly when it is under the
+other, and precision = hits / points is the same float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +60,6 @@ class EvalReport:
     bf_std_across_images: float | None = None
     n_images: int = 0
     n_bf_images: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -91,52 +101,101 @@ def mean_class_accuracy(per_class: list) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def boundary_points(labels: np.ndarray, cls: int) -> np.ndarray:
-    """(K, 2) integer coordinates of class-``cls`` boundary pixels. VOID
-    neighbors never create boundary points; the image border always does."""
+def boundary_mask(labels: np.ndarray) -> np.ndarray:
+    """Boolean mask of the boundary pixels of every class at once: pixels
+    on the image border or with a 4-neighbor whose label differs and is not
+    VOID. Class c's boundary is ``boundary_mask(labels) & (labels == c)``."""
     labels = np.asarray(labels)
-    mine = labels == cls
-    if not np.any(mine):
-        return np.empty((0, 2), dtype=np.int64)
-    differs = np.zeros_like(mine)
-    nb = labels[:-1, :]
-    differs[1:, :] |= (nb != labels[1:, :]) & (nb != VOID)
-    nb = labels[1:, :]
-    differs[:-1, :] |= (nb != labels[:-1, :]) & (nb != VOID)
-    nb = labels[:, :-1]
-    differs[:, 1:] |= (nb != labels[:, 1:]) & (nb != VOID)
-    nb = labels[:, 1:]
-    differs[:, :-1] |= (nb != labels[:, :-1]) & (nb != VOID)
-    border = np.zeros_like(mine)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    return np.argwhere(mine & (differs | border)).astype(np.int64)
+    mask = np.zeros(labels.shape, dtype=bool)
+    above, below = labels[:-1, :], labels[1:, :]
+    differs = above != below
+    mask[1:, :] |= differs & (above != VOID)
+    mask[:-1, :] |= differs & (below != VOID)
+    left, right = labels[:, :-1], labels[:, 1:]
+    differs = left != right
+    mask[:, 1:] |= differs & (left != VOID)
+    mask[:, :-1] |= differs & (right != VOID)
+    mask[0, :] = mask[-1, :] = True
+    mask[:, 0] = mask[:, -1] = True
+    return mask
 
 
-def _match_fraction(points: np.ndarray, targets: np.ndarray, tol: float) -> float:
-    """Fraction of ``points`` within ``tol`` of some target; empty point
-    sets count as fraction 0."""
-    if len(points) == 0:
-        return 0.0
-    if len(targets) == 0:
-        return 0.0
-    d2 = ((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(d2.min(axis=1) <= tol * tol))
+def boundary_points(labels: np.ndarray, cls: int) -> np.ndarray:
+    """(K, 2) integer coordinates of class-``cls`` boundary pixels in
+    row-major order. VOID neighbors never create boundary points; the image
+    border always does."""
+    labels = np.asarray(labels)
+    return np.argwhere(boundary_mask(labels) & (labels == cls)).astype(np.int64)
+
+
+def _class_boundaries(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """(num_classes, H, W) boundary masks, one plane per class."""
+    labels = np.asarray(labels)
+    classes = np.arange(num_classes)[:, None, None]
+    return boundary_mask(labels)[None] & (labels[None] == classes)
+
+
+def _within_tolerance(masks: np.ndarray, tol: float) -> np.ndarray:
+    """For (..., H, W) boolean masks, the pixels that lie within Euclidean
+    distance ``tol`` of some True pixel of the same plane.
+
+    The disk dy*dy + dx*dx <= tol*tol is a union of row runs: row offset dy
+    spans |dx| <= h(dy), the largest such integer. h only shrinks as |dy|
+    grows, so one downward scan finds every h. A run of half-width h is one
+    difference of row prefix sums, OR-ed into place with shifted slices."""
+    h, w = masks.shape[-2:]
+    tol_sq = tol * tol
+    # row prefix sums P[0..w] at offset ``pad``, clamped to P[0] on the left
+    # and P[w] on the right, so every run is a difference of two slices
+    pad = w - 1
+    prefix = np.zeros(masks.shape[:-1] + (w + 2 * pad + 1,), dtype=np.int32)
+    np.cumsum(masks, axis=-1, out=prefix[..., pad + 1: pad + 1 + w])
+    prefix[..., pad + 1 + w:] = prefix[..., pad + w: pad + w + 1]
+    near = np.zeros_like(masks)
+    half, built = pad, None
+    for dy in range(h):
+        # exact: Python compares the integer sum with the float tol_sq exactly
+        while half >= 0 and not half * half + dy * dy <= tol_sq:
+            half -= 1
+        if half < 0:
+            break
+        if half != built:
+            built = half
+            runs = (prefix[..., pad + half + 1: pad + half + 1 + w]
+                    > prefix[..., pad - half: pad - half + w])
+        near[..., : h - dy, :] |= runs[..., dy:, :]
+        if dy:
+            near[..., dy:, :] |= runs[..., : h - dy, :]
+    return near
+
+
+def _fraction(hits, n) -> float:
+    return int(hits) / int(n) if n else 0.0
 
 
 def bf_score(pred: np.ndarray, gt: np.ndarray, num_classes: int,
              cfg: BFConfig, image_diag: float) -> dict:
     """Per-class (precision, recall, F1); classes with both boundary sets
-    empty are skipped (absent from the dict)."""
-    tol = cfg.tolerance(image_diag)
+    empty are skipped (absent from the dict). ``pred`` and ``gt`` must have
+    the same shape."""
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
+    pb = _class_boundaries(pred, num_classes)
+    gb = _class_boundaries(gt, num_classes)
+    near = _within_tolerance(np.concatenate([pb, gb]), cfg.tolerance(image_diag))
+    near_pred, near_gt = near[:num_classes], near[num_classes:]
+    n_pred = pb.sum(axis=(1, 2))
+    n_gt = gb.sum(axis=(1, 2))
+    hits_pred = (pb & near_gt).sum(axis=(1, 2))
+    hits_gt = (gb & near_pred).sum(axis=(1, 2))
     out = {}
     for c in range(num_classes):
-        pb = boundary_points(pred, c)
-        gb = boundary_points(gt, c)
-        if len(pb) == 0 and len(gb) == 0:
+        if n_pred[c] == 0 and n_gt[c] == 0:
             continue
-        precision = _match_fraction(pb, gb, tol)
-        recall = _match_fraction(gb, pb, tol)
+        precision = _fraction(hits_pred[c], n_pred[c])
+        recall = _fraction(hits_gt[c], n_gt[c])
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         out[c] = (precision, recall, f1)
     return out
@@ -202,16 +261,22 @@ def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
                    cfg: BFConfig | None, stride: int,
                    preprocess=None) -> EvalReport:
     """Forward every sample through the segmenter, argmax + nearest
-    upsample to label resolution, and aggregate metrics."""
-    from .networks import forward
+    upsample to label resolution, and aggregate metrics.
+
+    The forward pass runs on detached parameters, so it builds no graph and
+    leaves ``seg_params`` (their ``requires_grad`` and ``grad``) untouched.
+    Images go through one at a time: a batched pass would hold every
+    image's im2col columns at once."""
+    from .networks import detach_params, forward
     from .tensor import Tensor
 
+    params = detach_params(seg_params)
     preds, gts = [], []
     for sample in samples:
         img = sample.image
         if preprocess is not None:
             img = preprocess(img)
-        probs = forward(seg_spec, seg_params, Tensor(img[None]))
+        probs = forward(seg_spec, params, Tensor(img[None]))
         preds.append(predict_labels(probs.data[0], upsample=stride))
         gts.append(sample.labels)
     return evaluate_predictions(preds, gts, num_classes, cfg)

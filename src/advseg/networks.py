@@ -297,9 +297,10 @@ def forward(spec: NetSpec, params: dict, inputs, trace: list | None = None) -> T
     return x
 
 
-def zero_grads(params: dict) -> None:
-    for t in params.values():
-        t.zero_grad()
+def detach_params(params: dict) -> dict:
+    """Graph-free views of ``params`` (shared data, no copy): a forward pass
+    on them records no graph nodes and leaves the originals untouched."""
+    return {name: t.detach() for name, t in params.items()}
 
 
 def set_requires_grad(params: dict, flag: bool) -> None:

@@ -23,7 +23,7 @@ from .encodings import EncodingKind, build_adv_pair, downsample_labels, one_hot
 from .labelmap import void_mask
 from .layers import local_contrast_normalize
 from .losses import ObjectiveConfig, adversary_objective, segmenter_objective
-from .metrics import BFConfig, evaluate_predictions, image_diagonal, predict_labels
+from .metrics import BFConfig, evaluate_split, image_diagonal
 from .tensor import Tensor, backward, mul
 
 SEGMENTER = "segmenter"
@@ -194,29 +194,19 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
 
 def adversary_accuracy(state: TrainState, samples) -> tuple[float, float]:
     """Fraction of adversary grid outputs on the correct side of 0.5 for
-    ground-truth and predicted inputs."""
+    ground-truth and predicted inputs. Both networks run on detached
+    parameters, so no graph is built."""
     cfg = state.cfg
     stride = N.receptive_field(state.seg_spec)[2]
     idx = list(range(len(samples)))
     batch = make_batch(samples, idx, cfg, stride)
-    probs = N.forward(state.seg_spec, state.seg_params, Tensor(batch.images))
-    gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs.detach(),
-                              cfg.encoding)
-    out_gt = N.forward(state.adv_spec, state.adv_params, _adv_inputs(gt)).data
-    out_pred = N.forward(state.adv_spec, state.adv_params, _adv_inputs(pred)).data
+    seg_params = N.detach_params(state.seg_params)
+    adv_params = N.detach_params(state.adv_params)
+    probs = N.forward(state.seg_spec, seg_params, Tensor(batch.images))
+    gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs, cfg.encoding)
+    out_gt = N.forward(state.adv_spec, adv_params, _adv_inputs(gt)).data
+    out_pred = N.forward(state.adv_spec, adv_params, _adv_inputs(pred)).data
     return float(np.mean(out_gt > 0.5)), float(np.mean(out_pred < 0.5))
-
-
-def _eval_split(state: TrainState, samples, bf_cfg) -> "object":
-    cfg = state.cfg
-    stride = N.receptive_field(state.seg_spec)[2]
-    preds, gts = [], []
-    for sample in samples:
-        img = preprocess_images(sample.image[None], cfg)
-        probs = N.forward(state.seg_spec, state.seg_params, Tensor(img))
-        preds.append(predict_labels(probs.data[0], upsample=stride))
-        gts.append(sample.labels)
-    return evaluate_predictions(preds, gts, cfg.num_classes, bf_cfg)
 
 
 @dataclass
@@ -244,8 +234,12 @@ def _snapshot(params: dict) -> dict:
 def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg,
                  acc_samples) -> None:
     acc_gt, acc_pred = adversary_accuracy(state, acc_samples)
+    cfg = state.cfg
+    stride = N.receptive_field(state.seg_spec)[2]
     for split in ("train", "val"):
-        report = _eval_split(state, dataset.split(split), bf_cfg)
+        report = evaluate_split(state.seg_spec, state.seg_params,
+                                dataset.split(split), cfg.num_classes, bf_cfg,
+                                stride, preprocess=lambda im: preprocess_images(im, cfg))
         row = {
             "iter": state.iteration,
             "split": split,

@@ -146,6 +146,34 @@ def test_export_maps_file_count_and_quantization(tmp_path, data_dir, run_dir):
     assert overlay.shape[0] == 3
 
 
+@pytest.fixture(scope="module")
+def run_dir_4(tmp_path_factory):
+    """A 4-class model and dataset, for the class-count guard."""
+    data = tmp_path_factory.mktemp("data4")
+    assert run("gen-data", "--out", str(data), *SMALL_DATA,
+               "--set", "num_classes=4") == 0
+    out = tmp_path_factory.mktemp("run4")
+    assert run("train", "--data", str(data), "--out", str(out), *SMALL_NET,
+               "--set", "num_classes=4", "--set", "max_iters=1",
+               "--set", "eval_every=1") == 0
+    return data, out
+
+
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+@pytest.mark.parametrize("num_classes", [3, 5])
+def test_class_count_mismatch_rejected(tmp_path, capsys, run_dir_4, command,
+                                       num_classes):
+    data, ckpt = run_dir_4
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data), "--ckpt", str(ckpt), "--out",
+               str(out), *SMALL_NET, "--set", f"num_classes={num_classes}")
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"num_classes={num_classes}" in err and "4 classes" in err
+    assert not out.exists()
+
+
 @pytest.fixture()
 def fast_gradcheck(monkeypatch):
     # the end-to-end composition cases dominate suite runtime and are

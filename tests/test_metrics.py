@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advseg.labelmap import VOID
 from advseg.metrics import (
@@ -10,11 +12,15 @@ from advseg.metrics import (
     boundary_points,
     confusion,
     evaluate_predictions,
+    evaluate_split,
     image_diagonal,
     predict_labels,
     summary_metrics,
     upsample_labels,
 )
+from advseg.networks import build_segmenter, forward, init_params, receptive_field
+from advseg.tensor import Tensor
+from advseg.toyscenes import SceneSpec, make_dataset
 
 from oracles import bf_match_fraction_naive, boundary_points_naive, confusion_naive
 
@@ -230,6 +236,131 @@ def test_bf_matches_naive_oracle():
             assert got[cls][0] == p
             assert got[cls][1] == r
             assert got[cls][2] == f1
+
+
+def _bf_naive(pred, gt, num_classes, tol):
+    """bf_score from the scalar-loop oracles alone."""
+    out = {}
+    for cls in range(num_classes):
+        pb = boundary_points_naive(pred, cls, VOID)
+        gb = boundary_points_naive(gt, cls, VOID)
+        if not pb and not gb:
+            continue
+        p = bf_match_fraction_naive(pb, gb, tol)
+        r = bf_match_fraction_naive(gb, pb, tol)
+        out[cls] = (p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r))
+    return out
+
+
+def _bf_at(pred, gt, num_classes, tol):
+    """bf_score with a config whose tolerance at this image is ``tol``."""
+    diag = image_diagonal(gt.shape)
+    cfg = BFConfig(smallest_diagonal=diag, reference_tolerance_px=tol)
+    assert cfg.tolerance(diag) == tol
+    return bf_score(pred, gt, num_classes, cfg, diag)
+
+
+def test_bf_matches_naive_oracle_edge_cases():
+    rng = np.random.default_rng(10)
+    shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1), (5, 7), (12, 4)]
+    for h, w in shapes:
+        diag = math.hypot(h, w)
+        tols = [0.0, 0.5, 0.999, 1.0, 1.2, math.sqrt(2.0), 2.5, math.sqrt(13.0),
+                diag, 1.5 * diag, 1e6]
+        for trial in range(12):
+            c = int(rng.integers(2, 5))
+            gt = rng.integers(0, c, size=(h, w))
+            pred = rng.integers(0, c, size=(h, w))
+            if trial % 3 == 1:  # VOID-bearing maps
+                gt[rng.uniform(size=(h, w)) < 0.25] = VOID
+                pred[rng.uniform(size=(h, w)) < 0.25] = VOID
+            if trial % 3 == 2:  # class c-1 present only in the prediction
+                gt[gt == c - 1] = 0
+                pred[rng.uniform(size=(h, w)) < 0.3] = c - 1
+            for tol in tols:
+                got = _bf_at(pred, gt, c, tol)
+                assert got == _bf_naive(pred, gt, c, tol), (h, w, trial, tol)
+
+
+def test_bf_class_in_one_map_only():
+    gt = np.zeros((6, 6), dtype=int)
+    pred = gt.copy()
+    pred[2:4, 2:4] = 1
+    got = _bf_at(pred, gt, 3, 1.0)
+    assert got[1] == (0.0, 0.0, 0.0)  # predicted only: no target boundary
+    assert 2 not in got  # in neither map
+    assert got == _bf_naive(pred, gt, 3, 1.0)
+    swapped = _bf_at(gt, pred, 3, 1.0)
+    assert swapped[1] == (0.0, 0.0, 0.0)
+
+
+def test_bf_rejects_shape_mismatch():
+    cfg = BFConfig(smallest_diagonal=5.0)
+    with pytest.raises(ValueError):
+        bf_score(np.zeros((3, 4), dtype=int), np.zeros((4, 3), dtype=int), 2,
+                 cfg, 5.0)
+
+
+@st.composite
+def _map_pairs(draw):
+    h = draw(st.integers(1, 10))
+    w = draw(st.integers(1, 10))
+    c = draw(st.integers(1, 4))
+    cells = st.sampled_from(list(range(c)) + [VOID])
+    pred = np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w))).reshape(h, w)
+    gt = np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w))).reshape(h, w)
+    tol = draw(st.one_of(
+        st.floats(0.0, 16.0, allow_nan=False),
+        st.integers(0, 13).map(lambda k: math.sqrt(k)),
+        st.integers(0, 16).map(float)))
+    return pred, gt, c, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_map_pairs())
+def test_bf_equals_naive_oracle_property(case):
+    pred, gt, c, tol = case
+    assert _bf_at(pred, gt, c, tol) == _bf_naive(pred, gt, c, tol)
+
+
+def test_evaluate_split_builds_no_graph_and_matches_graph_forward(monkeypatch):
+    spec = SceneSpec(height=16, width=16, num_classes=3, void_border_px=0,
+                     void_ribbon_px=0, seed=4)
+    samples = make_dataset(spec, 0, 3).val
+    seg = build_segmenter(3, channels_base=4, n_context_layers=1)
+    params = init_params(seg, 5)
+    stride = receptive_field(seg)[2]
+    rng = np.random.default_rng(11)
+    for t in params.values():
+        t.grad = rng.standard_normal(t.shape)
+    params["L0.bias"].requires_grad = False
+    before = {k: (t.requires_grad, t.grad.copy(), t.data.copy())
+              for k, t in params.items()}
+    cfg = BFConfig(smallest_diagonal=image_diagonal((16, 16)))
+
+    import advseg.networks as N
+    outputs = []
+    real_forward = N.forward
+    monkeypatch.setattr(N, "forward",
+                        lambda *a, **k: outputs.append(real_forward(*a, **k)) or outputs[-1])
+    got = evaluate_split(seg, params, samples, 3, cfg, stride)
+    monkeypatch.undo()
+    assert len(outputs) == 3 and all(o.node is None for o in outputs)
+
+    for k, t in params.items():
+        requires_grad, grad, data = before[k]
+        assert t.requires_grad is requires_grad
+        np.testing.assert_array_equal(t.grad, grad)
+        np.testing.assert_array_equal(t.data, data)
+    params["L0.bias"].requires_grad = True
+    preds = []
+    for s in samples:
+        probs = forward(seg, params, Tensor(s.image[None]))
+        assert probs.node is not None  # the reference really builds a graph
+        preds.append(predict_labels(probs.data[0], upsample=stride))
+    want = evaluate_predictions(preds, [s.labels for s in samples], 3, cfg)
+    assert got.n_bf_images == 3
+    assert vars(got) == vars(want)
 
 
 def test_predict_labels_tie_breaks_low_class():

@@ -8,6 +8,7 @@ from advseg.networks import (
     build_adversary,
     build_segmenter,
     conv,
+    detach_params,
     forward,
     init_params,
     load_params,
@@ -251,3 +252,18 @@ def test_forward_shape_errors():
     two = build_adversary(2, "small", two_branch=True)
     with pytest.raises(ShapeError):
         forward(two, init_params(two, 0), Tensor(np.zeros((1, 2, 8, 8))))
+
+
+def test_detach_params_share_data_and_build_no_graph():
+    spec = build_segmenter(3, channels_base=4, n_context_layers=1)
+    params = init_params(spec, 0)
+    detached = detach_params(params)
+    assert detached.keys() == params.keys()
+    for name, t in detached.items():
+        assert t.data is params[name].data  # a view, no copy
+        assert not t.requires_grad and t.node is None
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 3, 16, 16)))
+    out = forward(spec, detached, x)
+    assert out.node is None and not out.requires_grad
+    np.testing.assert_array_equal(out.data, forward(spec, params, x).data)
+    assert all(t.requires_grad and t.grad is None for t in params.values())

@@ -155,6 +155,20 @@ def test_initial_adversary_accuracy_near_half():
     assert 0.15 <= first["adv_acc_pred"] <= 0.85
 
 
+def test_evaluation_builds_no_graph(monkeypatch):
+    import advseg.networks as N
+    outputs = []
+    real_forward = N.forward
+    monkeypatch.setattr(N, "forward",
+                        lambda *a, **k: outputs.append(real_forward(*a, **k)) or outputs[-1])
+    record = train_run(tiny_cfg(max_iters=0), tiny_dataset())
+    assert [row["iter"] for row in record.rows] == [0, 0]
+    # one adversary_accuracy (segmenter + two adversary passes) plus one
+    # forward per train and val image
+    assert len(outputs) > 3
+    assert all(o.node is None and not o.requires_grad for o in outputs)
+
+
 def test_divergence_guard_aborts_cleanly():
     # every log in the objectives is clamped and the softmax is
     # max-subtracted, so no learning rate can push the loss non-finite on
