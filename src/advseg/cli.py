@@ -4,8 +4,9 @@ Subcommands: gen-data, train, eval, gradcheck, export-maps, grid. Behavior
 is controlled by a flat ``key = value`` config file ('#' starts a comment)
 plus repeatable ``--set key=value`` overrides, which win. The effective
 config is echoed into the output directory so any run can be reproduced
-from its artifacts alone. Outputs are deterministic: no timestamps, stable
-ordering, fixed float formatting.
+from its artifacts alone; ``eval`` and ``export-maps`` read the class count
+and the preprocessing back from the echo next to the checkpoint. Outputs
+are deterministic: no timestamps, stable ordering, fixed float formatting.
 
 Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
 3 I/O errors.
@@ -78,8 +79,10 @@ def parse_config_file(path) -> dict:
     return cfg
 
 
-def effective_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+def config_overrides(args) -> dict:
+    """The values given on the command line: the ``--config`` file, then the
+    ``--set`` overrides, which win."""
+    cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -94,6 +97,10 @@ def effective_config(args) -> dict:
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_FAIL)
     return cfg
+
+
+def effective_config(args) -> dict:
+    return {**DEFAULTS, **config_overrides(args)}
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
@@ -193,26 +200,46 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(ckpt_dir: Path, num_classes: int):
-    """(spec, params) of the checkpoint's segmenter, which must predict
-    ``num_classes`` classes."""
+# config keys that a checkpoint is evaluated with exactly as it was trained
+TRAINED_KEYS = ("num_classes", "lcn_window")
+
+
+def _load_checkpoint(args):
+    """(config, spec, params) for evaluating the checkpoint in ``--ckpt``.
+
+    The config is the effective one, except that ``TRAINED_KEYS`` take the
+    values of the ``config.echo`` that ``train`` wrote next to the
+    checkpoint; a value given on the command line that differs is an error.
+    """
+    given = config_overrides(args)
+    ckpt_dir = Path(args.ckpt)
     spec_path = ckpt_dir / "segmenter.spec"
     params_path = ckpt_dir / "segmenter.ckpt"
-    if not spec_path.exists() or not params_path.exists():
+    echo_path = ckpt_dir / "config.echo"
+    if not (spec_path.exists() and params_path.exists() and echo_path.exists()):
         raise CliError(f"no checkpoint in {ckpt_dir}", EXIT_IO)
+    trained = parse_config_file(echo_path)
+    missing = [key for key in TRAINED_KEYS if key not in trained]
+    if missing:
+        raise CliError(f"{echo_path} does not set {', '.join(missing)}", EXIT_FAIL)
+    cfg = {**DEFAULTS, **{key: trained[key] for key in TRAINED_KEYS}, **given}
     spec = N.load_spec(spec_path)
-    if spec.out_channels != num_classes:
+    if spec.out_channels != int(cfg["num_classes"]):
         raise CliError(
-            f"num_classes={num_classes}, but the segmenter in {ckpt_dir} "
+            f"num_classes={cfg['num_classes']}, but the segmenter in {ckpt_dir} "
             f"predicts {spec.out_channels} classes", EXIT_FAIL)
-    return spec, N.load_params(params_path)
+    for key in TRAINED_KEYS:
+        if cfg[key] != trained[key]:
+            raise CliError(
+                f"{key}={cfg[key]}, but the checkpoint in {ckpt_dir} was "
+                f"trained with {key}={trained[key]}", EXIT_FAIL)
+    return cfg, spec, N.load_params(params_path)
 
 
 def cmd_eval(args) -> int:
-    cfg = effective_config(args)
+    cfg, spec, params = _load_checkpoint(args)
     ds = _load_dataset(args.data)
     tcfg = train_config_from(cfg)
-    spec, params = _load_model(Path(args.ckpt), tcfg.num_classes)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
@@ -248,10 +275,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_maps(args) -> int:
-    cfg = effective_config(args)
+    cfg, spec, params = _load_checkpoint(args)
     ds = _load_dataset(args.data)
     tcfg = train_config_from(cfg)
-    spec, params = _load_model(Path(args.ckpt), tcfg.num_classes)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     count = min(int(cfg["export_count"]), len(ds.val))

@@ -123,6 +123,11 @@ def _layer_cases():
 
     pool_in = T.Tensor(rng.permutation(np.linspace(0.1, 4.0, 16)).reshape(1, 1, 4, 4))
     yield "maxpool2", pool_in, lambda t: _sq_sum(L.maxpool2(t))
+    # several images and channels, distinct values (no ties); a generator of
+    # its own leaves the inputs of the cases below unchanged
+    pool_batch = T.Tensor(np.random.default_rng(106).permutation(
+        np.linspace(0.1, 4.0, 96)).reshape(2, 3, 4, 4))
+    yield "maxpool2_batched", pool_batch, lambda t: _sq_sum(L.maxpool2(t))
     relu_in = T.Tensor(np.concatenate([rng.uniform(0.2, 1, 6), rng.uniform(-1, -0.2, 6)]))
     yield "relu", relu_in, lambda t: _sq_sum(L.relu(t))
     yield "sigmoid", T.Tensor(rng.uniform(-2, 2, size=(2, 3))), \

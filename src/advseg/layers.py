@@ -14,6 +14,11 @@ convolution arithmetic", arXiv 1603.07285). The graph keeps no columns:
 when the kernel gradient is needed, backward rebuilds them into the same
 buffer. Backward computes only the gradients whose operands required one
 when the op was built.
+
+Max pooling reads the four strided views ``x[:, :, i::2, j::2]`` of its
+input, one per window position, and copies nothing: the forward pass is an
+elementwise maximum of the views, and backward routes each window's
+gradient to its first maximum in row-major order through running masks.
 """
 
 from __future__ import annotations
@@ -166,25 +171,29 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
 def maxpool2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 max pooling; gradient goes to each window's
-    first maximum in row-major order."""
+    first maximum in row-major order. A window that holds a NaN outputs NaN
+    and passes no gradient to any of its four inputs."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2 input must be 4D, got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even extents, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = (x.data.reshape(n, c, h2, 2, w2, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, h2, w2, 4))
-    idx = np.argmax(windows, axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    # np.maximum returns its second operand when the two compare equal, so
+    # listing the later positions first keeps the first maximum's value (the
+    # sign of a zero) on ties
+    out = np.maximum(np.maximum(xd[:, :, 1::2, 1::2], xd[:, :, 1::2, 0::2]),
+                     np.maximum(xd[:, :, 0::2, 1::2], xd[:, :, 0::2, 0::2]))
 
     def bw(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        return (gw.reshape(n, c, h2, w2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w),)
+        gx = np.empty_like(xd)
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major window order
+            hit = xd[:, :, i::2, j::2] == out
+            hit &= free
+            gx[:, :, i::2, j::2] = np.where(hit, g, 0.0)
+            free ^= hit
+        return (gx,)
 
     return _make(out, "maxpool2", [x], bw)
 

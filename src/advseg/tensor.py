@@ -5,14 +5,44 @@ row-major float64 array plus an optional graph node recording how it was
 produced. Calling :func:`backward` on a scalar tensor accumulates gradients
 into every ``requires_grad`` leaf reachable from it. There is no implicit
 broadcasting between tensors; the only mixed form allowed is tensor-vs-scalar.
+
+A training turn allocates every activation and gradient afresh and frees
+them all when it ends. On glibc, importing this module raises the malloc
+trim and mmap thresholds once (:func:`_keep_freed_heap`), so that freed
+arrays stay in the process heap for the next turn to reuse instead of going
+back to the kernel and coming back as zero-filled page faults. Memory from
+``np.empty`` may therefore hold stale values, as the C standard allows.
 """
 
 from __future__ import annotations
 
+import ctypes
 import struct
 from typing import Callable, Sequence
 
 import numpy as np
+
+# glibc mallopt parameters (malloc.h) and the values set for them: heap tops
+# below 1 GiB are not trimmed, and blocks below 64 MiB come from the heap
+# rather than from their own mmap, which free would unmap again
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Make glibc keep freed memory for reuse; whether ``mallopt`` took both
+    settings (False, and nothing changed, where there is no ``mallopt``)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+            and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1)
+
+
+_HEAP_KEPT = _keep_freed_heap()
 
 
 class ShapeError(ValueError):

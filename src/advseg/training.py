@@ -3,9 +3,9 @@
 Exactly one player updates per iteration; the active player flips at block
 boundaries (fast alternation is a block length of 1, the slow scheme uses
 longer blocks). During a segmenter turn the adversary is frozen; during an
-adversary turn the segmenter output is detached, so gradients never leak
-across players. Objectives are divided by batch size only; pixel sums stay
-at the per-image scale.
+adversary turn the segmenter runs on detached parameters and builds no
+graph, so gradients never leak across players. Objectives are divided by
+batch size only; pixel sums stay at the per-image scale.
 
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
 defaults to off: warming the adversary up first destabilizes training.
@@ -176,9 +176,10 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
             if cfg.lam > 0.0:
                 N.set_requires_grad(state.adv_params, True)
         else:
-            probs = N.forward(state.seg_spec, state.seg_params, Tensor(batch.images))
-            gt, pred = build_adv_pair(batch.images, batch.labels_ds,
-                                      probs.detach(), cfg.encoding)
+            probs = N.forward(state.seg_spec, N.detach_params(state.seg_params),
+                              Tensor(batch.images))
+            gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs,
+                                      cfg.encoding)
             adv_on_gt = N.forward(state.adv_spec, state.adv_params, _adv_inputs(gt))
             adv_on_pred = N.forward(state.adv_spec, state.adv_params, _adv_inputs(pred))
             loss = mul(adversary_objective(adv_on_gt, adv_on_pred), 1.0 / b)

@@ -70,6 +70,25 @@ def dilate_kernel(kernel, d):
     return big
 
 
+def maxpool2_gather(x, g):
+    """2x2 max pooling of x (N, C, H, W) and its input gradient for output
+    gradient g: each window is gathered into a last axis of four in
+    row-major order, and argmax picks its first maximum."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    windows = (x.reshape(n, c, h2, 2, w2, 2)
+               .transpose(0, 1, 2, 4, 3, 5)
+               .reshape(n, c, h2, w2, 4))
+    idx = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gw = np.zeros_like(windows)
+    np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+    gx = (gw.reshape(n, c, h2, w2, 2, 2)
+          .transpose(0, 1, 2, 4, 3, 5)
+          .reshape(n, c, h, w))
+    return out, gx
+
+
 def confusion_naive(pred, gt, num_classes, void):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     h, w = gt.shape

@@ -174,6 +174,43 @@ def test_class_count_mismatch_rejected(tmp_path, capsys, run_dir_4, command,
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def run_dir_lcn(tmp_path_factory, data_dir):
+    """A model trained with local contrast normalization over 3x3 windows."""
+    out = tmp_path_factory.mktemp("run_lcn")
+    assert run("train", "--data", str(data_dir), "--out", str(out), *SMALL_NET,
+               "--set", "lcn_window=3", "--set", "max_iters=2",
+               "--set", "eval_every=2") == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+def test_checkpoint_preprocessing_used_without_flag(tmp_path, data_dir,
+                                                    run_dir_lcn, command):
+    silent, explicit = tmp_path / "silent", tmp_path / "explicit"
+    for out, extra in ((silent, []), (explicit, ["--set", "lcn_window=3"])):
+        assert run(command, "--data", str(data_dir), "--ckpt", str(run_dir_lcn),
+                   "--out", str(out), *SMALL_NET, *extra) == 0
+    assert "lcn_window = 3" in (silent / "config.echo").read_text()
+    names = sorted(p.name for p in silent.iterdir())
+    assert names == sorted(p.name for p in explicit.iterdir())
+    for name in names:
+        assert (silent / name).read_bytes() == (explicit / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+def test_conflicting_preprocessing_rejected(tmp_path, capsys, data_dir,
+                                            run_dir_lcn, command):
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data_dir), "--ckpt", str(run_dir_lcn),
+               "--out", str(out), *SMALL_NET, "--set", "lcn_window=5")
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lcn_window=5" in err and "lcn_window=3" in err
+    assert not out.exists()
+
+
 @pytest.fixture()
 def fast_gradcheck(monkeypatch):
     # the end-to-end composition cases dominate suite runtime and are

@@ -18,7 +18,7 @@ from advseg.layers import (
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
 
-from oracles import conv2d_grads_naive, conv2d_naive, dilate_kernel
+from oracles import conv2d_grads_naive, conv2d_naive, dilate_kernel, maxpool2_gather
 
 
 def _params(kernel, bias=None, **kw):
@@ -261,6 +261,81 @@ def test_maxpool_grad_check():
     rng = np.random.default_rng(4)
     x = Tensor(rng.permutation(16.0 * np.arange(1, 17)).reshape(1, 1, 4, 4))
     assert grad_check(lambda t: reduce_sum(maxpool2(t) * maxpool2(t)), x) < 1e-4
+
+
+def _tied_pool_input():
+    """Random (2, 3, 8, 6) input whose 72 windows cycle through: all zero,
+    all equal, the maximum tied at each of the 6 pairs of positions, and
+    distinct values."""
+    rng = np.random.default_rng(12)
+    windows = rng.normal(size=(2, 3, 4, 3, 4))  # last axis: row-major position
+    flat = windows.reshape(-1, 4)
+    pairs = list(itertools.combinations(range(4), 2))
+    for k, win in enumerate(flat):
+        kind = k % 9
+        if kind == 0:
+            win[:] = 0.0
+        elif kind == 1:
+            win[:] = win[0]
+        elif kind < 8:
+            a, b = pairs[kind - 2]
+            win[[a, b]] = win.max() + 1.0
+    return windows.reshape(2, 3, 4, 3, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(2, 3, 8, 6)
+
+
+def _pool_layer(x, g):
+    t = Tensor(x, requires_grad=True)
+    out = maxpool2(t)
+    return out.data, out.node.backward_fn(g)[0]
+
+
+def _pool_last_max(x, g):
+    """maxpool2 on the input flipped in both spatial axes: each window's
+    gradient goes to its last maximum instead of its first."""
+    out, gx = _pool_layer(x[..., ::-1, ::-1], g[..., ::-1, ::-1])
+    return out[..., ::-1, ::-1], gx[..., ::-1, ::-1]
+
+
+def _assert_pool_matches_gather(pool):
+    x = _tied_pool_input()
+    g = np.random.default_rng(13).normal(size=(2, 3, 4, 3))
+    out, gx = pool(x, g)
+    ref_out, ref_gx = maxpool2_gather(x, g)
+    assert out.tobytes() == ref_out.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
+
+
+def test_maxpool_ties_bit_identical_to_gather():
+    _assert_pool_matches_gather(_pool_layer)
+
+
+def test_maxpool_last_max_fails_tie_test():
+    with pytest.raises(AssertionError):
+        _assert_pool_matches_gather(_pool_last_max)
+
+
+def test_maxpool_nan_window_outputs_nan_and_passes_no_gradient():
+    x = np.arange(8.0).reshape(1, 1, 2, 4)
+    x[0, 0, 1, 0] = np.nan
+    out, gx = _pool_layer(x, np.ones((1, 1, 1, 2)))
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 7.0
+    np.testing.assert_array_equal(gx[0, 0], [[0, 0, 0, 0], [0, 0, 0, 1]])
+
+
+def test_maxpool_batched_gradcheck_case_and_negative_control(monkeypatch):
+    (x, f), = [(x, f) for name, x, f in _layer_cases() if name == "maxpool2_batched"]
+    assert x.shape[:2] == (2, 3)
+    assert grad_check(f, x) < TOLERANCE
+    real = layers.maxpool2
+
+    def scaled(t):
+        out = real(t)
+        bw = out.node.backward_fn
+        out.node.backward_fn = lambda g: (1.5 * bw(g)[0],)
+        return out
+
+    monkeypatch.setattr(layers, "maxpool2", scaled)
+    assert grad_check(f, x) > TOLERANCE
 
 
 def test_sigmoid_at_zero():

@@ -1,6 +1,9 @@
+import resource
+
 import numpy as np
 import pytest
 
+import advseg.tensor as T
 from advseg.encodings import EncodingKind
 from advseg.networks import forward, receptive_field
 from advseg.tensor import Tensor, backward, reduce_sum
@@ -131,6 +134,46 @@ def test_adversary_objective_detached_from_segmenter():
     train_iteration(state, batch, player=ADVERSARY)
     for name, t in state.seg_params.items():
         assert t.grad is None, name
+
+
+def test_adversary_turn_builds_no_segmenter_graph(monkeypatch):
+    import advseg.networks as N
+    cfg = tiny_cfg()
+    state = init_state(cfg)
+    batch = make_batch(tiny_dataset().train, [0, 1], cfg,
+                       receptive_field(state.seg_spec)[2])
+    seg_outputs = []
+    real_forward = N.forward
+
+    def spy(spec, *a, **k):
+        out = real_forward(spec, *a, **k)
+        if spec is state.seg_spec:
+            seg_outputs.append(out)
+        return out
+
+    monkeypatch.setattr(N, "forward", spy)
+    train_iteration(state, batch, player=ADVERSARY)
+    assert len(seg_outputs) == 1
+    assert seg_outputs[0].node is None and not seg_outputs[0].requires_grad
+
+
+@pytest.mark.skipif(not T._HEAP_KEPT, reason="no glibc mallopt to keep freed memory")
+def test_training_turns_reuse_freed_memory():
+    # 64x64 scenes in batches of 4 free several MB per turn: enough for
+    # the default malloc to give it back to the kernel, whose fresh pages
+    # then fault in again (hundreds of minor faults per turn)
+    cfg = tiny_cfg(batch_size=4, channels_base=16)
+    ds = make_dataset(SceneSpec(height=64, width=64, num_classes=3, seed=0), 4, 1)
+    state = init_state(cfg)
+    batch = make_batch(ds.train, [0, 1, 2, 3], cfg, receptive_field(state.seg_spec)[2])
+    for player in (SEGMENTER, ADVERSARY):
+        train_iteration(state, batch, player=player)
+    turns = 6
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(turns):
+        train_iteration(state, batch, player=(SEGMENTER, ADVERSARY)[i % 2])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 25 * turns
 
 
 def test_train_run_records_and_reproducibility():
