@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -116,36 +118,48 @@ def _bool(v: str) -> bool:
     raise CliError(f"expected boolean, got {v!r}", EXIT_FAIL)
 
 
+@contextmanager
+def _config_values():
+    """Turn a ValueError from parsing or checking config values into a
+    CliError (exit 1, one ``error:`` line)."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(f"invalid config value: {e}", EXIT_FAIL) from None
+
+
 def scene_spec_from(cfg: dict) -> D.SceneSpec:
-    return D.SceneSpec(
-        height=int(cfg["height"]), width=int(cfg["width"]),
-        num_classes=int(cfg["num_classes"]),
-        noise_sigma=float(cfg["noise_sigma"]),
-        texture_amp=float(cfg["texture_amp"]),
-        void_border_px=int(cfg["void_border_px"]),
-        void_ribbon_px=int(cfg["void_ribbon_px"]),
-        seed=int(cfg["data_seed"]),
-    )
+    with _config_values():
+        return D.SceneSpec(
+            height=int(cfg["height"]), width=int(cfg["width"]),
+            num_classes=int(cfg["num_classes"]),
+            noise_sigma=float(cfg["noise_sigma"]),
+            texture_amp=float(cfg["texture_amp"]),
+            void_border_px=int(cfg["void_border_px"]),
+            void_ribbon_px=int(cfg["void_ribbon_px"]),
+            seed=int(cfg["data_seed"]),
+        )
 
 
 def train_config_from(cfg: dict) -> TR.TrainConfig:
-    enc = EncodingKind(cfg["encoding"], tau=float(cfg["tau"]),
-                       include_image=_bool(cfg["include_image"]))
-    return TR.TrainConfig(
-        slr=float(cfg["slr"]), alr=float(cfg["alr"]), lam=float(cfg["lambda"]),
-        scheme=cfg["scheme"], block_len=int(cfg["block_len"]),
-        batch_size=int(cfg["batch_size"]), max_iters=int(cfg["max_iters"]),
-        seed=int(cfg["seed"]), encoding=enc,
-        modified_update=_bool(cfg["modified_update"]),
-        eval_every=int(cfg["eval_every"]), num_classes=int(cfg["num_classes"]),
-        channels_base=int(cfg["channels_base"]),
-        n_context_layers=int(cfg["n_context_layers"]),
-        adversary_fov=cfg["adversary_fov"],
-        adversary_capacity=cfg["adversary_capacity"],
-        adversary_head=cfg["adversary_head"],
-        lcn_window=int(cfg["lcn_window"]),
-        pretrain_adversary_iters=int(cfg["pretrain_adversary_iters"]),
-    )
+    with _config_values():
+        enc = EncodingKind(cfg["encoding"], tau=float(cfg["tau"]),
+                           include_image=_bool(cfg["include_image"]))
+        return TR.TrainConfig(
+            slr=float(cfg["slr"]), alr=float(cfg["alr"]), lam=float(cfg["lambda"]),
+            scheme=cfg["scheme"], block_len=int(cfg["block_len"]),
+            batch_size=int(cfg["batch_size"]), max_iters=int(cfg["max_iters"]),
+            seed=int(cfg["seed"]), encoding=enc,
+            modified_update=_bool(cfg["modified_update"]),
+            eval_every=int(cfg["eval_every"]), num_classes=int(cfg["num_classes"]),
+            channels_base=int(cfg["channels_base"]),
+            n_context_layers=int(cfg["n_context_layers"]),
+            adversary_fov=cfg["adversary_fov"],
+            adversary_capacity=cfg["adversary_capacity"],
+            adversary_head=cfg["adversary_head"],
+            lcn_window=int(cfg["lcn_window"]),
+            pretrain_adversary_iters=int(cfg["pretrain_adversary_iters"]),
+        )
 
 
 def _prepare_out_dir(cfg: dict, out: str) -> Path:
@@ -167,10 +181,11 @@ def _load_dataset(path: str) -> D.Dataset:
 
 def cmd_gen_data(args) -> int:
     cfg = effective_config(args)
-    out_dir = _prepare_out_dir(cfg, args.out)
     spec = scene_spec_from(cfg)
-    ds = D.make_dataset(spec, int(cfg["n_train"]), int(cfg["n_val"]),
-                        int(cfg["n_test"]))
+    with _config_values():
+        counts = [int(cfg[key]) for key in ("n_train", "n_val", "n_test")]
+    out_dir = _prepare_out_dir(cfg, args.out)
+    ds = D.make_dataset(spec, *counts)
     D.save_dataset(ds, out_dir)
     n = len(ds.train), len(ds.val), len(ds.test)
     manifest_rows = len((out_dir / "manifest.txt").read_text().splitlines())
@@ -181,9 +196,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
+    tcfg = train_config_from(cfg)
     ds = _load_dataset(args.data)
     out_dir = _prepare_out_dir(cfg, args.out)
-    tcfg = train_config_from(cfg)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
     seg_spec, adv_spec = TR.network_specs(tcfg)
@@ -224,7 +239,7 @@ def _load_checkpoint(args):
         raise CliError(f"{echo_path} does not set {', '.join(missing)}", EXIT_FAIL)
     cfg = {**DEFAULTS, **{key: trained[key] for key in TRAINED_KEYS}, **given}
     spec = N.load_spec(spec_path)
-    if spec.out_channels != int(cfg["num_classes"]):
+    if spec.out_channels != train_config_from(cfg).num_classes:
         raise CliError(
             f"num_classes={cfg['num_classes']}, but the segmenter in {ckpt_dir} "
             f"predicts {spec.out_channels} classes", EXIT_FAIL)
@@ -278,9 +293,10 @@ def cmd_export_maps(args) -> int:
     cfg, spec, params = _load_checkpoint(args)
     ds = _load_dataset(args.data)
     tcfg = train_config_from(cfg)
+    with _config_values():
+        count = min(int(cfg["export_count"]), len(ds.val))
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
-    count = min(int(cfg["export_count"]), len(ds.val))
     params = N.detach_params(params)
     for sample in ds.val[:count]:
         img = TR.preprocess_images(sample.image[None], tcfg)
@@ -304,12 +320,14 @@ def _overlay(image: np.ndarray, labels: np.ndarray, alpha: float = 0.5) -> np.nd
 
 def cmd_grid(args) -> int:
     cfg = effective_config(args)
+    base = train_config_from(cfg)
+    with _config_values():
+        slrs, alrs, lams = ([float(v) for v in values.split(",")]
+                            for values in (args.slr, args.alr, args.lam))
+        for slr, alr, lam in itertools.product(slrs, alrs, lams):
+            replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
     ds = _load_dataset(args.data)
     out_dir = _prepare_out_dir(cfg, args.out)
-    base = train_config_from(cfg)
-    slrs = [float(v) for v in args.slr.split(",")]
-    alrs = [float(v) for v in args.alr.split(",")]
-    lams = [float(v) for v in args.lam.split(",")]
     best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
     lines = []
     for c, r in sorted(entries, key=lambda e: (e[0].slr, e[0].alr, e[0].lam)):

@@ -113,6 +113,14 @@ def _layer_cases():
         L.conv2d(x, L.ConvParams(t, bias, 2, 1, 1)))
     yield "conv2d_kernel_dilated", kern, lambda t: _sq_sum(
         L.conv2d(x, L.ConvParams(t, bias, 1, 2, 2)))
+    # 10x40 in and out: forward and backward each span several bands of
+    # columns, the last one short, and backward forms the input and kernel
+    # gradients from the same columns; a generator of its own leaves the
+    # inputs of the other cases unchanged
+    wide = T.Tensor(np.random.default_rng(107).uniform(0.2, 1.0, size=(2, 2, 10, 40)),
+                    requires_grad=True)
+    yield "conv2d_kernel_banded", kern, lambda t: _sq_sum(
+        L.conv2d(wide, L.ConvParams(t, bias, 1, 2, 2)))
     # 2x3 kernel, stride 3 on a padded extent of 8: the output never reads
     # input rows 1 and 4 or column 5, so their gradient must be exactly zero
     rect = T.Tensor(kern.data[:, :, :2, :])

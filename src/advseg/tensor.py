@@ -239,26 +239,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
                  lambda g: (g * mask,))
 
 
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div,
-    "neg": neg, "log": log, "exp": exp,
-    "max_with_scalar": max_with_scalar, "clamp": clamp,
-}
-
-
-def elementwise(op_kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch an elementwise op by name (unary ops ignore ``b``)."""
-    if op_kind not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op_kind!r}")
-    fn = _ELEMENTWISE[op_kind]
-    if op_kind in ("neg", "log", "exp"):
-        return fn(a)
-    if op_kind == "clamp":
-        lo, hi = b
-        return fn(a, lo, hi)
-    return fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -322,15 +302,6 @@ def reduce_max(a: Tensor, axes=None) -> Tensor:
         return (np.moveaxis(gmoved, range(len(kept), a.ndim), axes),)
 
     return _make(out, "max", [a], bw)
-
-
-_REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(op_kind: str, a: Tensor, axes=None) -> Tensor:
-    if op_kind not in _REDUCE:
-        raise ValueError(f"unknown reduction {op_kind!r}")
-    return _REDUCE[op_kind](a, axes)
 
 
 # ---------------------------------------------------------------------------

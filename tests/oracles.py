@@ -89,6 +89,30 @@ def maxpool2_gather(x, g):
     return out, gx
 
 
+def lcn_per_plane(arr, window):
+    """Local contrast normalization of arr (N, C, H, W), one plane at a time
+    through a 2-D edge-padded integral image."""
+    r = window // 2
+    count = float(window * window)
+
+    def box_sums(a):
+        ap = np.pad(a, r, mode="edge")
+        ii = np.zeros((ap.shape[0] + 1, ap.shape[1] + 1))
+        ii[1:, 1:] = ap.cumsum(axis=0).cumsum(axis=1)
+        return (ii[window:, window:] - ii[:-window, window:]
+                - ii[window:, :-window] + ii[:-window, :-window])
+
+    out = np.empty_like(arr)
+    for ni in range(arr.shape[0]):
+        for ci in range(arr.shape[1]):
+            plane = arr[ni, ci]
+            mean = box_sums(plane) / count
+            var = box_sums(plane * plane) / count - mean * mean
+            std = np.sqrt(np.maximum(var, 0.0))
+            out[ni, ci] = (plane - mean) / np.maximum(std, 0.01)
+    return out
+
+
 def confusion_naive(pred, gt, num_classes, void):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     h, w = gt.shape

@@ -278,3 +278,28 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
                "--config", str(out1 / "config.echo")) == 0
     assert (out1 / "run.log").read_bytes() == (out2 / "run.log").read_bytes()
     assert (out1 / "segmenter.ckpt").read_bytes() == (out2 / "segmenter.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("gen-data", ["--set", "height=abc"]),
+    ("gen-data", ["--set", "n_val=1.5"]),
+    ("train", ["--set", "max_iters=abc"]),
+    ("train", ["--set", "scheme=bogus"]),
+    ("train", ["--set", "tau=2"]),
+    ("grid", ["--slr", "0.001,abc", "--alr", "0.05", "--lam", "0.0"]),
+    ("grid", ["--slr", "0.001", "--alr", "-0.05", "--lam", "0.0"]),
+    ("eval", ["--set", "num_classes=abc"]),
+    ("export-maps", ["--set", "export_count=many"]),
+])
+def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
+                                                       run_dir, command, extra):
+    out = tmp_path / "out"
+    where = {"gen-data": [], "train": ["--data", str(data_dir)],
+             "grid": ["--data", str(data_dir)],
+             "eval": ["--data", str(data_dir), "--ckpt", str(run_dir)],
+             "export-maps": ["--data", str(data_dir), "--ckpt", str(run_dir)]}
+    assert run(command, *where[command], "--out", str(out), *extra) == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config value: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -18,7 +18,13 @@ from advseg.layers import (
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
 
-from oracles import conv2d_grads_naive, conv2d_naive, dilate_kernel, maxpool2_gather
+from oracles import (
+    conv2d_grads_naive,
+    conv2d_naive,
+    dilate_kernel,
+    lcn_per_plane,
+    maxpool2_gather,
+)
 
 
 def _params(kernel, bias=None, **kw):
@@ -178,10 +184,13 @@ def test_conv_threads_do_not_share_columns():
     rng = np.random.default_rng(14)
     jobs = []
     for i in range(4):
-        x = Tensor(rng.normal(size=(2, 3, 10 + 2 * i, 9)), requires_grad=True)
+        # 20 columns wide and 30 or more rows high: forward and backward
+        # span several bands of columns
+        x = Tensor(rng.normal(size=(2, 3, 30 + 2 * i, 20)), requires_grad=True)
         p = ConvParams(Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True),
                        Tensor(rng.normal(size=4)), dilation=1 + i % 2, padding=1)
         out = conv2d(x, p)
+        assert out.shape[2] > 2 * layers.band_rows(out.shape[3])
         g = rng.normal(size=out.shape)
         jobs.append((x, p, g, out.data, out.node.backward_fn(g)))
     mismatches = []
@@ -206,6 +215,142 @@ def test_conv_threads_do_not_share_columns():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+# (n, c, h, w, stride, dilation, padding, kh, kw): one image and several,
+# stride and dilation across band edges, and output heights that leave a
+# short last band at 2 rows per band (the forward outputs are 8 wide)
+BANDED_GEOMETRIES = [(1, 3, 9, 8, 1, 1, 1, 3, 3), (3, 2, 17, 16, 2, 1, 1, 3, 3),
+                     (2, 3, 13, 8, 1, 2, 2, 3, 3), (2, 2, 23, 22, 3, 2, 3, 2, 3)]
+# outputs 4 wide: OpenBLAS sums a product only a few columns wide in another
+# order than a wide one, so one row per band changes the last bits here
+NARROW_GEOMETRY = (3, 2, 17, 8, 2, 1, 1, 3, 3)
+
+
+def _conv_fwd_bwd(x, k, b, g, geom):
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    out = conv2d(xt, ConvParams(kt, bt, *geom))
+    return (out.data,) + out.node.backward_fn(g)
+
+
+def test_conv_results_do_not_depend_on_band_size(monkeypatch):
+    rng = np.random.default_rng(15)
+    for n, c, h, w, *geom, kh, kw in BANDED_GEOMETRIES + [NARROW_GEOMETRY]:
+        exact = (n, c, h, w, *geom, kh, kw) != NARROW_GEOMETRY
+        x = rng.normal(size=(n, c, h, w))
+        k = rng.normal(size=(4, c, kh, kw))
+        b = rng.normal(size=4)
+        hout = layers.conv_out_extent(h, kh, *geom)
+        wout = layers.conv_out_extent(w, kw, *geom)
+        g = rng.normal(size=(n, 4, hout, wout))
+        runs = []
+        for band in (1, 17, 10 ** 6):  # one row per band, 2 rows, one band
+            monkeypatch.setattr(layers, "BAND", band)
+            runs.append(_conv_fwd_bwd(x, k, b, g, geom))
+            if band == 17:  # several bands, the last one short
+                assert hout > layers.band_rows(wout) and hout % layers.band_rows(wout)
+        want_gx, want_gk = conv2d_grads_naive(x, k, g, *geom)
+        for out, gx, gk, gb in runs:
+            if exact:
+                assert out.tobytes() == runs[-1][0].tobytes()
+                assert gx.tobytes() == runs[-1][1].tobytes()
+            np.testing.assert_allclose(out, runs[-1][0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gx, runs[-1][1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gk, runs[-1][2], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out, conv2d_naive(x, k, b, *geom),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gk, want_gk, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def test_conv_bands_large_enough_to_thread_match_einsum(monkeypatch):
+    # at the shipped band size, each band's products are 16 x 144 x 128
+    # multiply-adds per image, which OpenBLAS splits across threads when it
+    # has more than one
+    rng = np.random.default_rng(18)
+    x, k = rng.normal(size=(2, 16, 32, 64)), rng.normal(size=(16, 16, 3, 3))
+    g = rng.normal(size=(2, 16, 32, 64))
+    assert layers.band_rows(64) * 64 == 128
+    shipped = _conv_fwd_bwd(x, k, np.zeros(16), g, (1, 1, 1))
+    monkeypatch.setattr(layers, "BAND", 10 ** 6)
+    whole = _conv_fwd_bwd(x, k, np.zeros(16), g, (1, 1, 1))
+    assert shipped[0].tobytes() == whole[0].tobytes()
+    assert shipped[1].tobytes() == whole[1].tobytes()
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
+    np.testing.assert_allclose(shipped[0], np.einsum("ncijab,ocab->noij", windows, k),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(shipped[2], np.einsum("ncijab,noij->ocab", windows, g),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(shipped[2], whole[2], rtol=1e-12, atol=1e-12)
+
+
+def test_conv_scratch_holds_grid_and_one_band():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(2, 3, 40, 20)), requires_grad=True)
+    p = ConvParams(Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True),
+                   Tensor(np.zeros(4)), padding=1)
+    sizes = []
+
+    def work():  # in a thread of its own, so the scratch buffer starts empty
+        out = conv2d(x, p)
+        out.node.backward_fn(np.ones(out.shape))
+        sizes.append(layers._workspace.buf.size)
+
+    t = threading.Thread(target=work)
+    t.start()
+    t.join(timeout=60)
+    rows = layers.band_rows(20)
+    assert rows < 40
+    # zero grid (forward: 3 channels, backward: 4) plus one band of columns
+    want = max(2 * c * 42 * 22 + 2 * c * 9 * rows * 20 for c in (3, 4))
+    assert sizes == [want]
+
+
+def test_gradcheck_banded_kernel_case_spans_several_bands(monkeypatch):
+    (kern, f), = [(x, f) for name, x, f in _layer_cases()
+                  if name == "conv2d_kernel_banded"]
+    calls = []
+    real = layers.conv2d
+
+    def spy(x, p):
+        out = real(x, p)
+        calls.append((x.shape, out.shape))
+        return out
+
+    monkeypatch.setattr(layers, "conv2d", spy)
+    f(kern)
+    (x_shape, out_shape), = calls
+    # forward bands cover the output's rows, backward bands the input's
+    for h, w in (out_shape[2:], x_shape[2:]):
+        assert h > layers.band_rows(w)
+    monkeypatch.undo()
+    assert grad_check(f, kern) < TOLERANCE
+
+
+def test_gradcheck_flags_conv_kernel_grad_without_final_flip(monkeypatch):
+    """Negative control: a kernel gradient that skips the final flip back
+    (from the columns of the output gradient) must fail every conv kernel
+    case."""
+    real = layers.conv2d
+
+    def unflipped(x, p):
+        out = real(x, p)
+        right = out.node.backward_fn
+
+        def wrong(g):
+            gx, gk, gb = right(g)
+            return gx, gk[:, :, ::-1, ::-1], gb
+        out.node.backward_fn = wrong
+        return out
+
+    monkeypatch.setattr(layers, "conv2d", unflipped)
+    kernel_cases = [(name, x, f) for name, x, f in _layer_cases()
+                    if name.startswith("conv2d_kernel")]
+    assert len(kernel_cases) == 4
+    for name, x, f in kernel_cases:
+        assert grad_check(f, x) > TOLERANCE, name
 
 
 def test_gradcheck_flags_conv_input_grad_with_unflipped_kernel(monkeypatch):
@@ -424,6 +569,18 @@ def test_lcn_even_window_errors():
 def test_lcn_window_too_large_errors():
     with pytest.raises(ValueError):
         local_contrast_normalize(np.zeros((3, 8, 8)), window=9)
+
+
+def test_lcn_bit_identical_to_per_plane_loop():
+    rng = np.random.default_rng(17)
+    for shape, window in (((4, 3, 64, 64), 9), ((2, 3, 12, 10), 5),
+                          ((1, 1, 9, 9), 9), ((3, 2, 7, 30), 3)):
+        img = rng.uniform(size=shape)
+        assert (local_contrast_normalize(img, window).tobytes()
+                == lcn_per_plane(img, window).tobytes())
+    img = rng.uniform(size=(3, 11, 13))
+    assert (local_contrast_normalize(img, 5).tobytes()
+            == lcn_per_plane(img[None], 5)[0].tobytes())
 
 
 def test_lcn_tensor_passthrough_is_constant():

@@ -10,7 +10,6 @@ from advseg.tensor import (
     clamp,
     concat_channels,
     div,
-    elementwise,
     exp,
     grad_check,
     load_tensor,
@@ -18,7 +17,6 @@ from advseg.tensor import (
     max_with_scalar,
     mul,
     neg,
-    reduce,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -198,17 +196,12 @@ def test_grad_check_rejects_nonscalar():
         grad_check(lambda t: add(t, 1.0), Tensor([1.0, 2.0]))
 
 
-def test_elementwise_and_reduce_dispatch():
+def test_direct_elementwise_and_reduce_ops():
     x = Tensor([1.0, 2.0])
-    np.testing.assert_array_equal(elementwise("add", x, 1.0).data, [2.0, 3.0])
-    np.testing.assert_array_equal(elementwise("neg", x).data, [-1.0, -2.0])
-    np.testing.assert_array_equal(
-        elementwise("clamp", x, (0.0, 1.5)).data, [1.0, 1.5])
-    assert reduce("mean", x).item() == 1.5
-    with pytest.raises(ValueError):
-        elementwise("pow", x, 2.0)
-    with pytest.raises(ValueError):
-        reduce("prod", x)
+    np.testing.assert_array_equal(add(x, 1.0).data, [2.0, 3.0])
+    np.testing.assert_array_equal(neg(x).data, [-1.0, -2.0])
+    np.testing.assert_array_equal(clamp(x, 0.0, 1.5).data, [1.0, 1.5])
+    assert reduce_mean(x).item() == 1.5
 
 
 def test_max_with_scalar_tie_gives_zero_grad():
