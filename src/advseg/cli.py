@@ -19,6 +19,7 @@ import itertools
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from . import networks as N
 from . import toyscenes as D
 from . import training as TR
 from .encodings import EncodingKind
-from .tensor import Tensor
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,7 +51,6 @@ DEFAULTS = {
     "modified_update": "true", "eval_every": "250",
     "channels_base": "16", "n_context_layers": "4",
     "adversary_fov": "large", "adversary_capacity": "full",
-    "adversary_head": "sigmoid",
     "lcn_window": "0", "pretrain_adversary_iters": "0",
     # eval / export
     "splits": "val", "export_count": "4",
@@ -156,7 +155,6 @@ def train_config_from(cfg: dict) -> TR.TrainConfig:
             n_context_layers=int(cfg["n_context_layers"]),
             adversary_fov=cfg["adversary_fov"],
             adversary_capacity=cfg["adversary_capacity"],
-            adversary_head=cfg["adversary_head"],
             lcn_window=int(cfg["lcn_window"]),
             pretrain_adversary_iters=int(cfg["pretrain_adversary_iters"]),
         )
@@ -172,11 +170,18 @@ def _prepare_out_dir(cfg: dict, out: str) -> Path:
     return out_dir
 
 
-def _load_dataset(path: str) -> D.Dataset:
+def _load_dataset(path: str, splits=()) -> D.Dataset:
+    """The dataset in ``path``; each of ``splits`` must be non-empty."""
     data_dir = Path(path)
     if not (data_dir / "manifest.txt").exists():
         raise CliError(f"no dataset at {data_dir} (missing manifest.txt)", EXIT_IO)
-    return D.load_dataset(data_dir)
+    ds = D.load_dataset(data_dir)
+    for split in splits:
+        if split not in ("train", "val", "test"):
+            raise CliError(f"unknown split {split!r}", EXIT_FAIL)
+        if not ds.split(split):
+            raise CliError(f"split {split!r} of {data_dir} is empty", EXIT_FAIL)
+    return ds
 
 
 def cmd_gen_data(args) -> int:
@@ -197,7 +202,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     tcfg = train_config_from(cfg)
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, ("train", "val"))
     out_dir = _prepare_out_dir(cfg, args.out)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
@@ -253,21 +258,15 @@ def _load_checkpoint(args):
 
 def cmd_eval(args) -> int:
     cfg, spec, params = _load_checkpoint(args)
-    ds = _load_dataset(args.data)
+    splits = [split.strip() for split in cfg["splits"].split(",")]
+    ds = _load_dataset(args.data, splits)
     tcfg = train_config_from(cfg)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
-
-    def preprocess(img):
-        return TR.preprocess_images(img, tcfg)
-
-    for split in cfg["splits"].split(","):
-        split = split.strip()
-        samples = ds.split(split)
-        if not samples:
-            raise CliError(f"split {split!r} is empty", EXIT_FAIL)
-        report = M.evaluate_split(spec, params, samples, tcfg.num_classes,
+    preprocess = partial(TR.preprocess_images, cfg=tcfg)
+    for split in splits:
+        report = M.evaluate_split(spec, params, ds.split(split), tcfg.num_classes,
                                   bf_cfg, stride, preprocess=preprocess)
         (out_dir / f"eval_{split}.csv").write_text(
             M.report_to_csv(report, tcfg.num_classes))
@@ -297,10 +296,11 @@ def cmd_export_maps(args) -> int:
         count = min(int(cfg["export_count"]), len(ds.val))
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
-    params = N.detach_params(params)
-    for sample in ds.val[:count]:
-        img = TR.preprocess_images(sample.image[None], tcfg)
-        probs = N.forward(spec, params, Tensor(img)).data[0]
+    samples = ds.val[:count]
+    outputs = M.segment(spec, params, samples,
+                        partial(TR.preprocess_images, cfg=tcfg))
+    for sample, (_, probs) in zip(samples, outputs):
+        probs = probs[0]
         for c in range(probs.shape[0]):
             gray = np.rint(255.0 * probs[c]).astype(np.int64)
             D.write_pgm(out_dir / f"{sample.id}_class{c}.pgm", gray)
@@ -326,7 +326,7 @@ def cmd_grid(args) -> int:
                             for values in (args.slr, args.alr, args.lam))
         for slr, alr, lam in itertools.product(slrs, alrs, lams):
             replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, ("train", "val"))
     out_dir = _prepare_out_dir(cfg, args.out)
     best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
     lines = []

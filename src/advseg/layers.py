@@ -36,7 +36,9 @@ from .tensor import ShapeError, Tensor, _make, max_with_scalar
 
 # per-thread scratch memory for _correlate: the zero grid plus one band of
 # columns, grown (never shrunk) to the largest request so far; every call
-# reuses it, so nothing kept may be a view of it
+# reuses it, so nothing kept may be a view of it. It starts on a 64-byte
+# cache line (malloc promises 16 bytes): at the other three offsets a
+# segmenter forward pass at 64x64 took about 10 % longer.
 _workspace = threading.local()
 
 # output positions per image in one band of im2col columns; a band is made
@@ -114,7 +116,9 @@ def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
     n_all = n_grid + n * depth * min(rows, hout) * wout
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < n_all:
-        buf = _workspace.buf = np.empty(n_all)
+        raw = np.empty(n_all + 7)
+        skip = -raw.ctypes.data % 64 // raw.itemsize
+        buf = _workspace.buf = raw[skip: skip + n_all]
     grid = buf[:n_grid].reshape(n, c, height, width)
     grid.fill(0.0)
     ri, rj = _kept(top, step, ah, height), _kept(left, step, aw, width)
@@ -274,13 +278,11 @@ def _box_sums(a: np.ndarray, window: int) -> np.ndarray:
             - ii[:, :, window:, :-window] + ii[:, :, :-window, :-window])
 
 
-def local_contrast_normalize(image, window: int = 9):
+def local_contrast_normalize(image: np.ndarray, window: int = 9) -> np.ndarray:
     """Per channel, subtract the local box mean and divide by
-    max(local box std, 0.01). Data preprocessing: the result carries no
-    gradient graph. Accepts and returns either an ndarray or a Tensor.
-    """
-    is_tensor = isinstance(image, Tensor)
-    arr = image.data if is_tensor else np.asarray(image, dtype=np.float64)
+    max(local box std, 0.01). Data preprocessing on plain arrays, outside
+    the gradient graph."""
+    arr = np.asarray(image, dtype=np.float64)
     if window % 2 == 0:
         raise ValueError("local_contrast_normalize window must be odd")
     squeeze = arr.ndim == 3
@@ -297,6 +299,4 @@ def local_contrast_normalize(image, window: int = 9):
     var = _box_sums(arr * arr, window) / count - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
     out = (arr - mean) / np.maximum(std, 0.01)
-    if squeeze:
-        out = out[0]
-    return Tensor(out) if is_tensor else out
+    return out[0] if squeeze else out

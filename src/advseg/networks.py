@@ -6,8 +6,8 @@ always describes the label path. The shipped architectures keep the
 structural choices that matter: the segmenter grows its field of view with
 doubling dilations instead of extra pooling, and the adversary variants
 trade field-of-view (34 vs 18 label-map pixels) and capacity against each
-other. The adversary ends in a 1-channel sigmoid probability grid by
-default; a 2-way softmax head is available as an option.
+other. The adversary ends in a 1-channel sigmoid probability grid, one
+probability per output cell.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def build_segmenter(num_classes: int, channels_base: int = 16,
 
 
 def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full",
-                    two_branch: bool = False, head: str = "sigmoid") -> NetSpec:
+                    two_branch: bool = False) -> NetSpec:
     """Adversary over label maps (optionally plus an image branch).
 
     large: six same-padded 3x3 convs with two interleaved pools, 3x3 head
@@ -112,8 +112,6 @@ def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full"
         raise ValueError("fov must be 'large' or 'small'")
     if capacity not in ("full", "light"):
         raise ValueError("capacity must be 'full' or 'light'")
-    if head not in ("sigmoid", "softmax2"):
-        raise ValueError("head must be 'sigmoid' or 'softmax2'")
     widths = [12, 16, 16, 32, 32, 64]
     if capacity == "light":
         widths = [max(1, w // 2) for w in widths]
@@ -148,13 +146,8 @@ def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full"
         ]
         head_k = 1
 
-    if head == "sigmoid":
-        spec_layers += [same_conv(w5, 1, head_k), LayerSpec("sigmoid")]
-        out_ch = 1
-    else:
-        spec_layers += [same_conv(w5, 2, head_k), LayerSpec("channel_softmax")]
-        out_ch = 2
-    return NetSpec("adversary", tuple(spec_layers), in_channels, out_ch,
+    spec_layers += [same_conv(w5, 1, head_k), LayerSpec("sigmoid")]
+    return NetSpec("adversary", tuple(spec_layers), in_channels, 1,
                    image_channels=3 if two_branch else 0)
 
 

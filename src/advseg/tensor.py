@@ -137,15 +137,6 @@ class Tensor:
         return neg(self)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(data) -> Tensor:
-    """A graph-free tensor (alias used to mark intent at call sites)."""
-    return Tensor(data)
-
-
 def _make(data: np.ndarray, op_kind: str, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     if any(t.requires_grad for t in inputs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .encodings import EncodingKind, build_adv_pair, downsample_labels, one_hot
 from .labelmap import void_mask
 from .layers import local_contrast_normalize
 from .losses import ObjectiveConfig, adversary_objective, segmenter_objective
-from .metrics import BFConfig, evaluate_split, image_diagonal
+from .metrics import BFConfig, evaluate_split, image_diagonal, mean_class_accuracy
 from .tensor import Tensor, backward, mul
 
 SEGMENTER = "segmenter"
@@ -48,7 +49,6 @@ class TrainConfig:
     n_context_layers: int = 4
     adversary_fov: str = "large"
     adversary_capacity: str = "full"
-    adversary_head: str = "sigmoid"
     lcn_window: int = 0  # 0 disables local contrast normalization
     pretrain_adversary_iters: int = 0
 
@@ -59,6 +59,14 @@ class TrainConfig:
             raise ValueError("block_len must be >= 1")
         if self.scheme not in ("fast", "slow"):
             raise ValueError("scheme must be 'fast' or 'slow'")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.lcn_window != 0 and (self.lcn_window < 3 or self.lcn_window % 2 == 0):
+            raise ValueError("lcn_window must be 0 or an odd number >= 3")
 
     @property
     def effective_block_len(self) -> int:
@@ -101,8 +109,7 @@ def network_specs(cfg: TrainConfig) -> tuple[N.NetSpec, N.NetSpec]:
                                  cfg.n_context_layers)
     adv_spec = N.build_adversary(adversary_in_channels(cfg), cfg.adversary_fov,
                                  cfg.adversary_capacity,
-                                 two_branch=cfg.encoding.include_image,
-                                 head=cfg.adversary_head)
+                                 two_branch=cfg.encoding.include_image)
     return seg_spec, adv_spec
 
 
@@ -193,21 +200,25 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
     return state
 
 
-def adversary_accuracy(state: TrainState, samples) -> tuple[float, float]:
+def adversary_accuracy(state: TrainState, samples, outputs) -> tuple[float, float]:
     """Fraction of adversary grid outputs on the correct side of 0.5 for
-    ground-truth and predicted inputs. Both networks run on detached
-    parameters, so no graph is built."""
+    ground-truth and predicted inputs, over ``samples``. ``outputs`` holds
+    each sample's ``(image, probs)`` pair from ``metrics.segment``; the
+    adversary judges them one image at a time on detached parameters, so
+    no graph is built."""
     cfg = state.cfg
     stride = N.receptive_field(state.seg_spec)[2]
-    idx = list(range(len(samples)))
-    batch = make_batch(samples, idx, cfg, stride)
-    seg_params = N.detach_params(state.seg_params)
     adv_params = N.detach_params(state.adv_params)
-    probs = N.forward(state.seg_spec, seg_params, Tensor(batch.images))
-    gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs, cfg.encoding)
-    out_gt = N.forward(state.adv_spec, adv_params, _adv_inputs(gt)).data
-    out_pred = N.forward(state.adv_spec, adv_params, _adv_inputs(pred)).data
-    return float(np.mean(out_gt > 0.5)), float(np.mean(out_pred < 0.5))
+    right_gt = right_pred = cells = 0
+    for sample, (image, probs) in zip(samples, outputs):
+        gt, pred = build_adv_pair(image, downsample_labels(sample.labels, stride),
+                                  Tensor(probs), cfg.encoding)
+        out_gt = N.forward(state.adv_spec, adv_params, _adv_inputs(gt)).data
+        out_pred = N.forward(state.adv_spec, adv_params, _adv_inputs(pred)).data
+        right_gt += np.count_nonzero(out_gt > 0.5)
+        right_pred += np.count_nonzero(out_pred < 0.5)
+        cells += out_gt.size
+    return right_gt / cells, right_pred / cells
 
 
 @dataclass
@@ -232,36 +243,36 @@ def _snapshot(params: dict) -> dict:
             for name, t in params.items()}
 
 
-def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg,
-                 acc_samples) -> None:
-    acc_gt, acc_pred = adversary_accuracy(state, acc_samples)
+def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
     cfg = state.cfg
     stride = N.receptive_field(state.seg_spec)[2]
+    reports, val_outputs = {}, []
     for split in ("train", "val"):
-        report = evaluate_split(state.seg_spec, state.seg_params,
-                                dataset.split(split), cfg.num_classes, bf_cfg,
-                                stride, preprocess=lambda im: preprocess_images(im, cfg))
-        row = {
+        reports[split] = evaluate_split(
+            state.seg_spec, state.seg_params, dataset.split(split),
+            cfg.num_classes, bf_cfg, stride,
+            preprocess=partial(preprocess_images, cfg=cfg),
+            outputs=val_outputs if split == "val" else None)
+    acc_gt, acc_pred = adversary_accuracy(state, dataset.val, val_outputs)
+    for split, report in reports.items():
+        record.rows.append({
             "iter": state.iteration,
             "split": split,
             "pixel_acc": report.pixel_acc,
-            "mean_class_acc": float(np.mean(
-                [a for a in report.per_class_acc if a is not None])),
+            "mean_class_acc": mean_class_accuracy(report.per_class_acc),
             "mean_iou": report.mean_iou,
             "mean_bf": report.mean_bf,
             "bf_std": report.bf_std_across_images,
             "adv_acc_gt": acc_gt,
             "adv_acc_pred": acc_pred,
-        }
-        record.rows.append(row)
-        if split == "val":
-            better = (report.mean_iou > record.best_val_miou)
-            if better:
-                record.best_val_miou = report.mean_iou
-                record.best_val_mbf = report.mean_bf
-                record.best_iteration = state.iteration
-                record.best_seg_params = _snapshot(state.seg_params)
-                record.best_adv_params = _snapshot(state.adv_params)
+        })
+    report = reports["val"]
+    if report.mean_iou > record.best_val_miou:
+        record.best_val_miou = report.mean_iou
+        record.best_val_mbf = report.mean_bf
+        record.best_iteration = state.iteration
+        record.best_seg_params = _snapshot(state.seg_params)
+        record.best_adv_params = _snapshot(state.adv_params)
 
 
 def dataset_bf_config(dataset) -> BFConfig:
@@ -275,39 +286,35 @@ def train_run(cfg: TrainConfig, dataset) -> RunRecord:
     validation-mIoU checkpointing, and a divergence guard (a non-finite
     loss aborts the run with a diagnostic record instead of crashing)."""
     state = init_state(cfg)
-    record = RunRecord(cfg=cfg)
+    record = RunRecord(cfg=cfg, loss_history=state.loss_history)
     bf_cfg = dataset_bf_config(dataset)
     stride = N.receptive_field(state.seg_spec)[2]
     train_samples = dataset.train
-    acc_samples = dataset.val[: min(8, len(dataset.val))] or train_samples[:8]
 
-    def draw_batch():
+    def turn(player=None) -> bool:
+        """Train one iteration on a fresh batch. A non-finite loss marks
+        the run diverged and returns False."""
         replace_draw = cfg.batch_size > len(train_samples)
         idx = state.rng.choice(len(train_samples), size=cfg.batch_size,
                                replace=replace_draw)
-        return make_batch(train_samples, idx, cfg, stride)
+        train_iteration(state, make_batch(train_samples, idx, cfg, stride), player)
+        if math.isfinite(state.loss_history[-1][2]):
+            return True
+        record.status = "diverged"
+        record.diverged_at = state.iteration - 1
+        return False
 
     for _ in range(cfg.pretrain_adversary_iters):
-        train_iteration(state, draw_batch(), player=ADVERSARY)
-        if not math.isfinite(state.loss_history[-1][2]):
-            record.status = "diverged"
-            record.diverged_at = state.iteration - 1
-            record.loss_history = state.loss_history
+        if not turn(ADVERSARY):
             return record
     state.iteration = 0
 
-    _record_eval(record, state, dataset, bf_cfg, acc_samples)
+    _record_eval(record, state, dataset, bf_cfg)
     while state.iteration < cfg.max_iters:
-        train_iteration(state, draw_batch())
-        if not math.isfinite(state.loss_history[-1][2]):
-            record.status = "diverged"
-            record.diverged_at = state.iteration - 1
-            record.loss_history = state.loss_history
+        if not turn():
             return record
         if state.iteration % cfg.eval_every == 0 or state.iteration == cfg.max_iters:
-            _record_eval(record, state, dataset, bf_cfg, acc_samples)
-
-    record.loss_history = state.loss_history
+            _record_eval(record, state, dataset, bf_cfg)
     return record
 
 

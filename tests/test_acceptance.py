@@ -1,9 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criterion 7 is the desk-scale directional experiment; its strict boundary
-clause reports WARN instead of failing (the effect is directional, not
-guaranteed at toy scale). Everything else is a hard assertion at the stated
-tolerance.
+Criterion 7, the desk-scale paired experiment on the adversarial term, is
+still pending and has no test here. Every other criterion is a hard
+assertion at the stated tolerance.
 """
 
 import math

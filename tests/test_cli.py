@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import advseg.cli as cli
+from advseg.tensor import Tensor
 from advseg.toyscenes import read_pgm, read_ppm
 
 
@@ -128,6 +129,33 @@ def test_eval_missing_checkpoint_fails(tmp_path, data_dir):
     code = run("eval", "--data", str(data_dir), "--ckpt", str(tmp_path),
                "--out", str(tmp_path / "out"), *SMALL_NET)
     assert code == cli.EXIT_IO
+
+
+def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
+                                                      data_dir, run_dir):
+    # export-maps segments through metrics.segment, the inference pass that
+    # evaluation also uses, and its probability maps are those of a
+    # graph-building forward of the checkpoint
+    passes = []
+    real_segment = cli.M.segment
+    monkeypatch.setattr(cli.M, "segment",
+                        lambda *a, **k: passes.append(a[2]) or real_segment(*a, **k))
+    out = tmp_path / "maps"
+    assert run("export-maps", "--data", str(data_dir), "--ckpt", str(run_dir),
+               "--out", str(out), *SMALL_NET, "--set", "export_count=2") == 0
+    assert len(passes) == 1
+    spec = cli.N.load_spec(run_dir / "segmenter.spec")
+    params = cli.N.load_params(run_dir / "segmenter.ckpt")
+    for sample in cli._load_dataset(str(data_dir)).val[:2]:
+        probs = cli.N.forward(spec, params, Tensor(sample.image[None]))
+        assert probs.node is not None
+        for c in range(3):
+            want = np.rint(255.0 * probs.data[0, c]).astype(np.int64)
+            got = read_pgm(out / f"{sample.id}_class{c}.pgm")
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            read_pgm(out / f"{sample.id}_argmax.pgm"),
+            cli.M.predict_labels(probs.data[0], upsample=cli.N.receptive_field(spec)[2]))
 
 
 def test_export_maps_file_count_and_quantization(tmp_path, data_dir, run_dir):
@@ -255,6 +283,55 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == cli.EXIT_FAIL
 
 
+def test_adversary_head_key_is_gone(tmp_path, capsys, data_dir):
+    out = tmp_path / "out"
+    code = run("train", "--data", str(data_dir), "--out", str(out), *SMALL_NET,
+               "--set", "adversary_head=sigmoid")
+    assert code == cli.EXIT_FAIL
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def data_dirs_with_empty_split(tmp_path_factory):
+    dirs = {}
+    for split in ("train", "val"):
+        d = tmp_path_factory.mktemp(f"no_{split}")
+        assert run("gen-data", "--out", str(d), *SMALL_DATA,
+                   "--set", f"n_{split}=0") == 0
+        dirs[split] = d
+    return dirs
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+def test_empty_split_exits_1_before_writing(tmp_path, capsys, run_dir,
+                                            data_dirs_with_empty_split, split,
+                                            command):
+    extra = {"train": [],
+             "grid": ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0"],
+             "eval": ["--ckpt", str(run_dir), "--set", f"splits=test,{split}"]}
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data_dirs_with_empty_split[split]),
+               "--out", str(out), *SMALL_NET, *extra[command])
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"split '{split}'" in err and "empty" in err
+    assert not out.exists()
+
+
+def test_eval_unknown_split_exits_1_before_writing(tmp_path, capsys, data_dir,
+                                                   run_dir):
+    out = tmp_path / "out"
+    code = run("eval", "--data", str(data_dir), "--ckpt", str(run_dir),
+               "--out", str(out), *SMALL_NET, "--set", "splits=val,tset")
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err == "error: unknown split 'tset'\n"
+    assert not out.exists()
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# experiment\nheight = 16\nwidth = 16\nn_train = 2\n"
@@ -290,6 +367,13 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("grid", ["--slr", "0.001", "--alr", "-0.05", "--lam", "0.0"]),
     ("eval", ["--set", "num_classes=abc"]),
     ("export-maps", ["--set", "export_count=many"]),
+    ("train", ["--set", "eval_every=0"]),
+    ("train", ["--set", "batch_size=0"]),
+    ("train", ["--set", "max_iters=-1"]),
+    ("train", ["--set", "lcn_window=4"]),
+    ("train", ["--set", "lcn_window=1"]),
+    ("grid", ["--set", "eval_every=0", "--slr", "0.001", "--alr", "0.05",
+              "--lam", "0.0"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):

@@ -96,15 +96,6 @@ def test_adversary_grid_16x_smaller_than_segmenter_output():
     assert np.all(grid.data > 0) and np.all(grid.data < 1)
 
 
-def test_softmax2_head_option():
-    spec = build_adversary(4, "small", head="softmax2")
-    params = init_params(spec, 0)
-    x = Tensor(np.random.default_rng(3).uniform(size=(1, 4, 8, 8)))
-    out = forward(spec, params, x)
-    assert out.shape[1] == 2
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_channel_chain_validation():
     with pytest.raises(ShapeError):
         NetSpec("segmenter", (conv(3, 8, 3), conv(4, 8, 3)), 3, 8)
@@ -236,7 +227,7 @@ def test_params_roundtrip(tmp_path):
 def test_spec_text_roundtrip(tmp_path):
     for spec in (build_segmenter(5, channels_base=8, n_context_layers=3),
                  build_adversary(5, "small", "light", two_branch=True),
-                 build_adversary(15, "large", head="softmax2")):
+                 build_adversary(15, "large")):
         text = spec_to_text(spec)
         assert spec_from_text(text) == spec
         path = tmp_path / "net.spec"

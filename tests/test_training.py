@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import advseg.tensor as T
-from advseg.encodings import EncodingKind
+from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.networks import forward, receptive_field
 from advseg.tensor import Tensor, backward, reduce_sum
 from advseg.toyscenes import SceneSpec, make_dataset
@@ -200,16 +200,41 @@ def test_initial_adversary_accuracy_near_half():
 
 def test_evaluation_builds_no_graph(monkeypatch):
     import advseg.networks as N
-    outputs = []
+    calls = []
     real_forward = N.forward
-    monkeypatch.setattr(N, "forward",
-                        lambda *a, **k: outputs.append(real_forward(*a, **k)) or outputs[-1])
-    record = train_run(tiny_cfg(max_iters=0), tiny_dataset())
+
+    def counted(spec, *args, **kwargs):
+        calls.append((spec.role, real_forward(spec, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(N, "forward", counted)
+    record = train_run(tiny_cfg(max_iters=0), tiny_dataset(n_train=4, n_val=3))
     assert [row["iter"] for row in record.rows] == [0, 0]
-    # one adversary_accuracy (segmenter + two adversary passes) plus one
-    # forward per train and val image
-    assert len(outputs) > 3
-    assert all(o.node is None and not o.requires_grad for o in outputs)
+    # one segmenter forward per train and val image; the adversary judges
+    # the val pass's outputs, ground truth and prediction for each image
+    names = [name for name, _ in calls]
+    assert names.count("segmenter") == 4 + 3
+    assert names.count("adversary") == 2 * 3
+    assert all(o.node is None and not o.requires_grad for _, o in calls)
+
+
+def test_adversary_accuracy_covers_the_whole_val_split():
+    cfg = tiny_cfg(max_iters=0, lcn_window=3,
+                   encoding=EncodingKind("product", include_image=True))
+    ds = tiny_dataset(n_train=2, n_val=11)
+    row = train_run(cfg, ds).rows[0]
+    # the same networks judge all 11 val scenes as one graph-building batch
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+    batch = make_batch(ds.val, range(len(ds.val)), cfg, stride)
+    probs = forward(state.seg_spec, state.seg_params, Tensor(batch.images))
+    assert probs.node is not None
+    gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs, cfg.encoding)
+    out_gt = forward(state.adv_spec, state.adv_params, (gt.channels, gt.image)).data
+    out_pred = forward(state.adv_spec, state.adv_params,
+                       (pred.channels, pred.image)).data
+    assert row["adv_acc_gt"] == float(np.mean(out_gt > 0.5))
+    assert row["adv_acc_pred"] == float(np.mean(out_pred < 0.5))
 
 
 def test_divergence_guard_aborts_cleanly():
@@ -330,3 +355,8 @@ def test_config_validation():
         TrainConfig(block_len=0)
     with pytest.raises(ValueError):
         TrainConfig(scheme="sometimes")
+    for bad in (dict(eval_every=0), dict(batch_size=0), dict(max_iters=-1),
+                dict(lcn_window=1), dict(lcn_window=4), dict(lcn_window=-3)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(max_iters=0, lcn_window=3)
