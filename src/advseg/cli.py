@@ -9,7 +9,7 @@ and the preprocessing back from the echo next to the checkpoint. Outputs
 are deterministic: no timestamps, stable ordering, fixed float formatting.
 
 Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
-3 I/O errors.
+3 I/O errors (a truncated or corrupt checkpoint among them).
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def _prepare_out_dir(cfg: dict, out: str) -> Path:
     return out_dir
 
 
-def _load_dataset(path: str, splits=()) -> D.Dataset:
-    """The dataset in ``path``; each of ``splits`` must be non-empty."""
+def _load_dataset(path: str, splits=(), lcn_window: int = 0) -> D.Dataset:
+    """The dataset in ``path``; each of ``splits`` must be non-empty, and an
+    LCN window must fit in every image."""
     data_dir = Path(path)
     if not (data_dir / "manifest.txt").exists():
         raise CliError(f"no dataset at {data_dir} (missing manifest.txt)", EXIT_IO)
@@ -181,6 +182,12 @@ def _load_dataset(path: str, splits=()) -> D.Dataset:
             raise CliError(f"unknown split {split!r}", EXIT_FAIL)
         if not ds.split(split):
             raise CliError(f"split {split!r} of {data_dir} is empty", EXIT_FAIL)
+    extent = min((min(s.image.shape[1:]) for s in ds.train + ds.val + ds.test),
+                 default=lcn_window)
+    if lcn_window > extent:
+        raise CliError(f"invalid config value: lcn_window={lcn_window} exceeds "
+                       f"the {extent}-pixel extent of the images in {data_dir}",
+                       EXIT_FAIL)
     return ds
 
 
@@ -202,7 +209,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     tcfg = train_config_from(cfg)
-    ds = _load_dataset(args.data, ("train", "val"))
+    ds = _load_dataset(args.data, ("train", "val"), tcfg.lcn_window)
     out_dir = _prepare_out_dir(cfg, args.out)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
@@ -253,14 +260,18 @@ def _load_checkpoint(args):
             raise CliError(
                 f"{key}={cfg[key]}, but the checkpoint in {ckpt_dir} was "
                 f"trained with {key}={trained[key]}", EXIT_FAIL)
-    return cfg, spec, N.load_params(params_path)
+    try:
+        params = N.load_params(params_path, spec)
+    except ValueError as e:
+        raise CliError(f"corrupt checkpoint {params_path}: {e}", EXIT_IO) from None
+    return cfg, spec, params
 
 
 def cmd_eval(args) -> int:
     cfg, spec, params = _load_checkpoint(args)
     splits = [split.strip() for split in cfg["splits"].split(",")]
-    ds = _load_dataset(args.data, splits)
     tcfg = train_config_from(cfg)
+    ds = _load_dataset(args.data, splits, tcfg.lcn_window)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
@@ -290,10 +301,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_maps(args) -> int:
     cfg, spec, params = _load_checkpoint(args)
-    ds = _load_dataset(args.data)
     tcfg = train_config_from(cfg)
+    ds = _load_dataset(args.data, lcn_window=tcfg.lcn_window)
     with _config_values():
-        count = min(int(cfg["export_count"]), len(ds.val))
+        count = int(cfg["export_count"])
+        if count < 0:
+            raise ValueError(f"export_count must be >= 0, got {count}")
+    count = min(count, len(ds.val))
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     samples = ds.val[:count]
@@ -326,7 +340,7 @@ def cmd_grid(args) -> int:
                             for values in (args.slr, args.alr, args.lam))
         for slr, alr, lam in itertools.product(slrs, alrs, lams):
             replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
-    ds = _load_dataset(args.data, ("train", "val"))
+    ds = _load_dataset(args.data, ("train", "val"), base.lcn_window)
     out_dir = _prepare_out_dir(cfg, args.out)
     best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
     lines = []

@@ -6,6 +6,17 @@ pool ties, clamp edges), runs :func:`advseg.tensor.grad_check`, and reports
 the max relative error. ``run_suite`` drives all cases; a deliberately
 corrupted op can be substituted as a negative control to prove the suite
 catches broken backward rules.
+
+The end-to-end cases check every parameter of a small segmenter and
+adversary through the composed two-player objectives. One traced forward
+pass of the unperturbed composition records each layer's input, and the
+closure for a parameter of layer k runs the networks from layer k on
+(``networks.forward(..., start=k)``). Layers before k do not read the
+parameter, so each function value is the whole composition's bit for bit,
+and the parameter's gradient flows through layers k and later only. The
+adversary's inputs are constants of its objective, so its encoded pair is
+built once. The ``L0`` cases still run each network from its input, so the
+input-gradient rule of every layer stays under check.
 """
 
 from __future__ import annotations
@@ -211,6 +222,18 @@ def find_composition_instance(max_tries: int = 200):
     raise RuntimeError("no kink-free composition instance found")
 
 
+def _traced(spec, params, x):
+    """(each layer's input, output) of one forward pass, all detached."""
+    trace = []
+    out = N.forward(spec, params, x, trace=trace)
+    return [t.detach() for _, t in trace], out.detach()
+
+
+def _layer_of(name: str) -> int:
+    """k of a trunk parameter 'L{k}.kernel' or 'L{k}.bias'."""
+    return int(name[1:name.index(".")])
+
+
 def _composition_cases():
     seg, adv, seg_params, adv_params, x, labels = find_composition_instance()
     cfg = ObjectiveConfig(lam=1.0, modified_update=True)
@@ -218,25 +241,32 @@ def _composition_cases():
     target[0, 0] = labels == 0
     target[0, 1] = labels == 1
     mask = np.ones((1, 4, 4))
+    basic = EncodingKind("basic")
 
-    def seg_loss(_):
-        probs = N.forward(seg, seg_params, x)
-        _, pred = build_adv_pair(None, labels, probs, EncodingKind("basic"))
-        grid = N.forward(adv, adv_params, pred.channels)
-        return segmenter_objective(probs, target, mask, grid, cfg)
+    seg_in, probs = _traced(seg, seg_params, x)
+    gt, pred = build_adv_pair(None, labels, probs, basic)
+    gt_in, _ = _traced(adv, adv_params, gt.channels)
+    pred_in, _ = _traced(adv, adv_params, pred.channels)
 
-    probs_const = N.forward(seg, seg_params, x).detach()
+    def seg_loss(k):
+        def f(_):
+            probs = N.forward(seg, seg_params, seg_in[k], start=k)
+            _, pred = build_adv_pair(None, labels, probs, basic)
+            grid = N.forward(adv, adv_params, pred.channels)
+            return segmenter_objective(probs, target, mask, grid, cfg)
+        return f
 
-    def adv_loss(_):
-        gt, pred = build_adv_pair(None, labels, probs_const, EncodingKind("basic"))
-        grid_gt = N.forward(adv, adv_params, gt.channels)
-        grid_pred = N.forward(adv, adv_params, pred.channels)
-        return adversary_objective(grid_gt, grid_pred)
+    def adv_loss(k):
+        def f(_):
+            grid_gt = N.forward(adv, adv_params, gt_in[k], start=k)
+            grid_pred = N.forward(adv, adv_params, pred_in[k], start=k)
+            return adversary_objective(grid_gt, grid_pred)
+        return f
 
     for name, p in seg_params.items():
-        yield f"end_to_end_seg[{name}]", p, seg_loss
+        yield f"end_to_end_seg[{name}]", p, seg_loss(_layer_of(name))
     for name, p in adv_params.items():
-        yield f"end_to_end_adv[{name}]", p, adv_loss
+        yield f"end_to_end_adv[{name}]", p, adv_loss(_layer_of(name))
 
 
 def _corrupted(ops: dict, op_name: str) -> dict:

@@ -54,8 +54,18 @@ class NetSpec:
 
 
 def _check_channel_chain(spec: "NetSpec") -> None:
+    c = _channels_into(spec, len(spec.layers))
+    if c != spec.out_channels:
+        raise ShapeError(
+            f"{spec.role}: chain ends with {c} channels, spec says {spec.out_channels}")
+
+
+def _channels_into(spec: "NetSpec", stop: int) -> int:
+    """Channels of the label path that reach layer ``stop`` (the output, at
+    ``len(spec.layers)``); raises ShapeError at a conv on the way that does
+    not take the channels that reach it."""
     c = spec.in_channels
-    for lay in spec.layers:
+    for lay in spec.layers[:stop]:
         if lay.kind == "conv":
             if lay.in_ch != c:
                 raise ShapeError(
@@ -72,9 +82,7 @@ def _check_channel_chain(spec: "NetSpec") -> None:
                             f"{spec.role}: branch conv expects {bl.in_ch}, gets {bc}")
                     bc = bl.out_ch
             c = c + bc
-    if c != spec.out_channels:
-        raise ShapeError(
-            f"{spec.role}: chain ends with {c} channels, spec says {spec.out_channels}")
+    return c
 
 
 def build_segmenter(num_classes: int, channels_base: int = 16,
@@ -207,20 +215,14 @@ def affected_outputs(spec: NetSpec, pixel: int, out_extent: int) -> tuple[int, i
 # parameters and forward
 
 
-def init_params(spec: NetSpec, seed: int) -> dict:
-    """Fan-balanced uniform kernels (+-sqrt(6/(fan_in+fan_out))), zero
-    biases; fully determined by the seed. Keys follow walk order: trunk
-    layer i -> 'L{i}', image-branch layer j -> 'B{j}'."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
+def param_shapes(spec: NetSpec) -> dict:
+    """Name -> shape of every parameter, in walk order: trunk layer i ->
+    'L{i}', image-branch layer j -> 'B{j}'."""
+    shapes: dict[str, tuple] = {}
 
     def add_conv(name, lay):
-        fan_in = lay.in_ch * lay.k * lay.k
-        fan_out = lay.out_ch * lay.k * lay.k
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        kern = rng.uniform(-bound, bound, size=(lay.out_ch, lay.in_ch, lay.k, lay.k))
-        params[f"{name}.kernel"] = Tensor(kern, requires_grad=True)
-        params[f"{name}.bias"] = Tensor(np.zeros(lay.out_ch), requires_grad=True)
+        shapes[f"{name}.kernel"] = (lay.out_ch, lay.in_ch, lay.k, lay.k)
+        shapes[f"{name}.bias"] = (lay.out_ch,)
 
     for i, lay in enumerate(spec.layers):
         if lay.kind == "conv":
@@ -229,18 +231,27 @@ def init_params(spec: NetSpec, seed: int) -> dict:
             for j, bl in enumerate(lay.branch):
                 if bl.kind == "conv":
                     add_conv(f"B{j}", bl)
+    return shapes
+
+
+def init_params(spec: NetSpec, seed: int) -> dict:
+    """Fan-balanced uniform kernels (+-sqrt(6/(fan_in+fan_out))), zero
+    biases; fully determined by the seed. Keys as in ``param_shapes``."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(spec).items():
+        if name.endswith(".kernel"):
+            cout, cin, kh, kw = shape
+            bound = np.sqrt(6.0 / (cin * kh * kw + cout * kh * kw))
+            params[name] = Tensor(rng.uniform(-bound, bound, size=shape),
+                                  requires_grad=True)
+        else:
+            params[name] = Tensor(np.zeros(shape), requires_grad=True)
     return params
 
 
 def param_count(spec: NetSpec) -> int:
-    total = 0
-    convs = [lay for lay in spec.layers if lay.kind == "conv"]
-    for lay in spec.layers:
-        if lay.kind == "concat_branches":
-            convs += [bl for bl in lay.branch if bl.kind == "conv"]
-    for lay in convs:
-        total += lay.out_ch * lay.in_ch * lay.k * lay.k + lay.out_ch
-    return total
+    return sum(int(np.prod(shape)) for shape in param_shapes(spec).values())
 
 
 def _apply(lay: LayerSpec, x: Tensor, params: dict, name: str) -> Tensor:
@@ -259,21 +270,28 @@ def _apply(lay: LayerSpec, x: Tensor, params: dict, name: str) -> Tensor:
     raise ValueError(f"unknown layer kind {lay.kind!r}")
 
 
-def forward(spec: NetSpec, params: dict, inputs, trace: list | None = None) -> Tensor:
+def forward(spec: NetSpec, params: dict, inputs, trace: list | None = None,
+            start: int = 0) -> Tensor:
     """Run the network. Single-input specs take one tensor; two-branch
     adversaries take (label_input, image_input). When ``trace`` is given,
-    (layer, layer_input) pairs are appended to it for diagnostics."""
+    (layer, layer_input) pairs are appended to it for diagnostics.
+
+    ``start=k`` runs layers k and later only, and the label input is then
+    layer k's input, as a trace records it: the output equals that of the
+    whole pass bit for bit, and a backward pass reaches no layer before k.
+    """
     if spec.image_channels:
         if not isinstance(inputs, (tuple, list)) or len(inputs) != 2:
             raise ShapeError("two-branch network needs (label_input, image_input)")
         x, image = inputs
     else:
         x, image = inputs, None
-    if x.ndim != 4 or x.shape[1] != spec.in_channels:
-        raise ShapeError(
-            f"{spec.role} expects (N, {spec.in_channels}, H, W), got {x.shape}")
+    c = _channels_into(spec, start)
+    if x.ndim != 4 or x.shape[1] != c:
+        at = f" at layer {start}" if start else ""
+        raise ShapeError(f"{spec.role} expects (N, {c}, H, W){at}, got {x.shape}")
 
-    for i, lay in enumerate(spec.layers):
+    for i, lay in enumerate(spec.layers[start:], start):
         if lay.kind == "concat_branches":
             b = image
             if b.ndim != 4 or b.shape[1] != spec.image_channels:
@@ -319,26 +337,46 @@ def save_params(params: dict, path) -> None:
             fh.write(blob)
 
 
-def load_params(path) -> dict:
+def load_params(path, spec: NetSpec | None = None) -> dict:
+    """The parameters that ``save_params`` wrote to ``path``. A bad header
+    or index, blobs that do not fill the payload exactly, or (given
+    ``spec``) names and shapes other than ``param_shapes(spec)`` raise
+    ValueError, with the fault in the message."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.startswith(b"ADVSEG-PARAMS 1\n"):
+    magic, _, rest = raw.partition(b"\n")
+    if magic != b"ADVSEG-PARAMS 1":
         raise ValueError("bad checkpoint header")
-    pos = len(b"ADVSEG-PARAMS 1\n")
-    end = raw.index(b"\n", pos)
-    count = int(raw[pos:end])
-    pos = end + 1
-    index = []
-    for _ in range(count):
-        end = raw.index(b"\n", pos)
-        name, off, length = raw[pos:end].decode().rsplit(" ", 2)
-        index.append((name, int(off), int(length)))
-        pos = end + 1
-    params = {}
-    for name, off, length in index:
-        t = tensor_from_bytes(raw[pos + off: pos + off + length])
-        t.requires_grad = True
-        params[name] = t
+    count, _, rest = rest.partition(b"\n")
+    if not count.isdigit():
+        raise ValueError("bad checkpoint index")
+    *lines, payload = rest.split(b"\n", int(count))
+    if len(lines) != int(count):
+        raise ValueError("checkpoint index is truncated")
+    params, end = {}, 0
+    for line in lines:
+        fields = line.decode(errors="replace").rsplit(" ", 2)
+        if len(fields) != 3 or not (fields[1].isdigit() and fields[2].isdigit()):
+            raise ValueError(f"bad checkpoint index line {line[:60]!r}")
+        name, off, length = fields[0], int(fields[1]), int(fields[2])
+        if name in params or off != end:
+            raise ValueError(f"checkpoint index entry {name!r} out of sequence")
+        end = off + length
+        if end > len(payload):
+            break
+        params[name] = tensor_from_bytes(payload[off:end])
+        params[name].requires_grad = True
+    if end != len(payload):
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                         f"its index says {end}")
+    if spec is not None:
+        want = param_shapes(spec)
+        got = {name: t.shape for name, t in params.items()}
+        for name in {**want, **got}:
+            if want.get(name) != got.get(name):
+                raise ValueError(
+                    f"{name}: shape {got.get(name, 'missing')} in the checkpoint, "
+                    f"{want.get(name, 'none')} in the {spec.role}")
     return params
 
 

@@ -17,6 +17,7 @@ back to the kernel and coming back as zero-filled page faults. Memory from
 from __future__ import annotations
 
 import ctypes
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -445,15 +446,19 @@ def tensor_to_bytes(t: Tensor) -> bytes:
 def tensor_from_bytes(buf: bytes) -> Tensor:
     if buf[:4] != _MAGIC:
         raise ValueError("bad tensor magic")
+    if len(buf) < 9:
+        raise ValueError("tensor header is truncated")
     if buf[4] != _VERSION:
         raise ValueError(f"unsupported tensor version {buf[4]}")
     rank = struct.unpack_from("<I", buf, 5)[0]
-    shape = struct.unpack_from(f"<{rank}I", buf, 9)
     off = 9 + 4 * rank
-    n = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(buf, dtype="<f8", count=n, offset=off)
+    if len(buf) < off:
+        raise ValueError("tensor header is truncated")
+    shape = struct.unpack_from(f"<{rank}I", buf, 9)
+    n = math.prod(shape)
     if len(buf) != off + 8 * n:
         raise ValueError("tensor payload length mismatch")
+    data = np.frombuffer(buf, dtype="<f8", count=n, offset=off)
     return Tensor(data.reshape(shape).astype(np.float64))
 
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,7 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("train", ["--set", "lcn_window=1"]),
     ("grid", ["--set", "eval_every=0", "--slr", "0.001", "--alr", "0.05",
               "--lam", "0.0"]),
+    ("export-maps", ["--set", "export_count=-1"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):
@@ -386,4 +388,60 @@ def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_di
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config value: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "eval", "export-maps"])
+def test_lcn_window_larger_than_images_exits_1_before_writing(tmp_path, capsys,
+                                                              data_dir, run_dir,
+                                                              command):
+    # a checkpoint whose echo says it was trained with 17x17 windows, as on
+    # images larger than the 16x16 ones of data_dir
+    ckpt = shutil.copytree(run_dir, tmp_path / "ckpt")
+    echo = ckpt / "config.echo"
+    echo.write_text(echo.read_text().replace("lcn_window = 0", "lcn_window = 17"))
+    extra = {"train": ["--set", "lcn_window=17"],
+             "grid": ["--set", "lcn_window=17", "--slr", "0.001", "--alr", "0.05",
+                      "--lam", "0.0"],
+             "eval": ["--ckpt", str(ckpt)],
+             "export-maps": ["--ckpt", str(ckpt)]}
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data_dir), "--out", str(out), *SMALL_NET,
+               *extra[command])
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config value: lcn_window=17 exceeds the "
+                          "16-pixel extent") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _bad_header(path):
+    path.write_bytes(b"ADVSEG-PARAMS 9" + path.read_bytes()[15:])
+
+
+def _other_shapes(path):
+    spec = cli.N.build_segmenter(3, channels_base=2, n_context_layers=1)
+    cli.N.save_params(cli.N.init_params(spec, 0), path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "payload"), (_bad_header, "header"), (_other_shapes, "shape"),
+])
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+def test_corrupt_checkpoint_exits_3_before_writing(tmp_path, capsys, data_dir,
+                                                   run_dir, command, corrupt,
+                                                   message):
+    ckpt = shutil.copytree(run_dir, tmp_path / "ckpt")
+    corrupt(ckpt / "segmenter.ckpt")
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data_dir), "--ckpt", str(ckpt),
+               "--out", str(out), *SMALL_NET)
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt checkpoint ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()

@@ -14,6 +14,7 @@ from advseg.networks import (
     load_params,
     load_spec,
     param_count,
+    param_shapes,
     receptive_field,
     same_conv,
     save_params,
@@ -224,6 +225,49 @@ def test_params_roundtrip(tmp_path):
         assert back[name].requires_grad
 
 
+def test_load_params_rejects_every_truncation(tmp_path):
+    spec = build_segmenter(2, channels_base=2, n_context_layers=1)
+    path = tmp_path / "ckpt"
+    save_params(init_params(spec, 0), path)
+    raw = path.read_bytes()
+    assert load_params(path, spec).keys() == param_shapes(spec).keys()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_params(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.replace(b"ADVSEG-PARAMS 1", b"ADVSEG-PARAMS 2", 1), "header"),
+    (lambda raw: raw.replace(b"\n8\n", b"\nx\n", 1), "index"),
+    (lambda raw: raw.replace(b"\n8\n", b"\n9\n", 1), "magic"),
+    (lambda raw: raw.replace(b"L0.bias ", b"L0.bias x", 1), "index line"),
+    (lambda raw: raw + b"\0", "payload"),
+])
+def test_load_params_rejects_corrupt_files(tmp_path, edit, message):
+    spec = build_segmenter(2, channels_base=2, n_context_layers=1)
+    path = tmp_path / "ckpt"
+    save_params(init_params(spec, 0), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_params(path)
+
+
+def test_load_params_checks_shapes_against_spec(tmp_path):
+    spec = build_segmenter(2, channels_base=2, n_context_layers=1)
+    path = tmp_path / "ckpt"
+    save_params(init_params(build_segmenter(3, channels_base=2, n_context_layers=1), 0),
+                path)
+    load_params(path)
+    with pytest.raises(ValueError, match=r"L7.kernel: shape \(3, 2, 1, 1\)"):
+        load_params(path, spec)
+    params = init_params(spec, 0)
+    del params["L7.bias"]
+    save_params(params, path)
+    with pytest.raises(ValueError, match="L7.bias: shape missing"):
+        load_params(path, spec)
+
+
 def test_spec_text_roundtrip(tmp_path):
     for spec in (build_segmenter(5, channels_base=8, n_context_layers=3),
                  build_adversary(5, "small", "light", two_branch=True),
@@ -243,6 +287,38 @@ def test_forward_shape_errors():
     two = build_adversary(2, "small", two_branch=True)
     with pytest.raises(ShapeError):
         forward(two, init_params(two, 0), Tensor(np.zeros((1, 2, 8, 8))))
+
+
+@pytest.mark.parametrize("spec", [
+    build_segmenter(3, channels_base=4, n_context_layers=2),
+    build_adversary(2, "small", "light", two_branch=True),
+])
+def test_forward_from_a_layer_equals_the_whole_pass(spec):
+    params = init_params(spec, 3)
+    rng = np.random.default_rng(4)
+    image = Tensor(rng.uniform(size=(2, 3, 8, 8)))
+    inputs = (Tensor(rng.uniform(size=(2, 2, 8, 8))), image) \
+        if spec.image_channels else image
+    trace = []
+    whole = forward(spec, params, inputs, trace=trace)
+    # the trace holds the input of every layer but the merge, and the image
+    # branch's layer inputs just before it
+    branch = [bl for lay in spec.layers for bl in lay.branch]
+    starts = [k for k, lay in enumerate(spec.layers) if lay.kind != "concat_branches"]
+    label_inputs = [t for lay, t in trace if not any(lay is bl for bl in branch)]
+    assert len(label_inputs) == len(starts)
+    for k, x in zip(starts, label_inputs):
+        x = (x.detach(), image) if spec.image_channels else x.detach()
+        out = forward(spec, params, x, start=k)
+        assert out.data.tobytes() == whole.data.tobytes(), k
+
+
+def test_forward_from_a_layer_checks_its_input():
+    spec = build_segmenter(2, channels_base=4, n_context_layers=1)
+    params = init_params(spec, 0)
+    with pytest.raises(ShapeError, match="at layer 5"):
+        forward(spec, params, Tensor(np.zeros((1, 3, 8, 8))), start=5)
+    forward(spec, params, Tensor(np.zeros((1, 4, 8, 8))), start=5)
 
 
 def test_detach_params_share_data_and_build_no_graph():
