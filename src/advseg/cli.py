@@ -250,7 +250,7 @@ def _load_checkpoint(args):
     if missing:
         raise CliError(f"{echo_path} does not set {', '.join(missing)}", EXIT_FAIL)
     cfg = {**DEFAULTS, **{key: trained[key] for key in TRAINED_KEYS}, **given}
-    spec = N.load_spec(spec_path)
+    spec = _read_checkpoint(N.load_spec, spec_path)
     if spec.out_channels != train_config_from(cfg).num_classes:
         raise CliError(
             f"num_classes={cfg['num_classes']}, but the segmenter in {ckpt_dir} "
@@ -260,11 +260,15 @@ def _load_checkpoint(args):
             raise CliError(
                 f"{key}={cfg[key]}, but the checkpoint in {ckpt_dir} was "
                 f"trained with {key}={trained[key]}", EXIT_FAIL)
+    return cfg, spec, _read_checkpoint(N.load_params, params_path, spec)
+
+
+def _read_checkpoint(load, path, *args):
+    """``load(path, *args)``, its ValueError turned into exit 3."""
     try:
-        params = N.load_params(params_path, spec)
+        return load(path, *args)
     except ValueError as e:
-        raise CliError(f"corrupt checkpoint {params_path}: {e}", EXIT_IO) from None
-    return cfg, spec, params
+        raise CliError(f"corrupt checkpoint {path}: {e}", EXIT_IO) from None
 
 
 def cmd_eval(args) -> int:

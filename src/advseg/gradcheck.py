@@ -13,7 +13,11 @@ pass of the unperturbed composition records each layer's input, and the
 closure for a parameter of layer k runs the networks from layer k on
 (``networks.forward(..., start=k)``). Layers before k do not read the
 parameter, so each function value is the whole composition's bit for bit,
-and the parameter's gradient flows through layers k and later only. The
+and the parameter's gradient flows through layers k and later only. Every
+other parameter is read through a detached view (``networks.detach_params``:
+same data, no copy), as a partial derivative holds it fixed, so later layers
+compute their input gradients only, and the finite differences, run with
+the perturbed parameter's ``requires_grad`` off, build no graph at all. The
 adversary's inputs are constants of its objective, so its encoded pair is
 built once. The ``L0`` cases still run each network from its input, so the
 input-gradient rule of every layer stays under check.
@@ -248,25 +252,31 @@ def _composition_cases():
     gt_in, _ = _traced(adv, adv_params, gt.channels)
     pred_in, _ = _traced(adv, adv_params, pred.channels)
 
-    def seg_loss(k):
+    seg_fixed, adv_fixed = N.detach_params(seg_params), N.detach_params(adv_params)
+
+    def seg_loss(name):
+        k, params = _layer_of(name), {**seg_fixed, name: seg_params[name]}
+
         def f(_):
-            probs = N.forward(seg, seg_params, seg_in[k], start=k)
+            probs = N.forward(seg, params, seg_in[k], start=k)
             _, pred = build_adv_pair(None, labels, probs, basic)
-            grid = N.forward(adv, adv_params, pred.channels)
+            grid = N.forward(adv, adv_fixed, pred.channels)
             return segmenter_objective(probs, target, mask, grid, cfg)
         return f
 
-    def adv_loss(k):
+    def adv_loss(name):
+        k, params = _layer_of(name), {**adv_fixed, name: adv_params[name]}
+
         def f(_):
-            grid_gt = N.forward(adv, adv_params, gt_in[k], start=k)
-            grid_pred = N.forward(adv, adv_params, pred_in[k], start=k)
+            grid_gt = N.forward(adv, params, gt_in[k], start=k)
+            grid_pred = N.forward(adv, params, pred_in[k], start=k)
             return adversary_objective(grid_gt, grid_pred)
         return f
 
     for name, p in seg_params.items():
-        yield f"end_to_end_seg[{name}]", p, seg_loss(_layer_of(name))
+        yield f"end_to_end_seg[{name}]", p, seg_loss(name)
     for name, p in adv_params.items():
-        yield f"end_to_end_adv[{name}]", p, adv_loss(_layer_of(name))
+        yield f"end_to_end_adv[{name}]", p, adv_loss(name)
 
 
 def _corrupted(ops: dict, op_name: str) -> dict:

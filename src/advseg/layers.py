@@ -239,7 +239,7 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """1 / (1 + exp(-x)) with the pre-activation clipped to [-30, 30]."""
-    z = np.clip(x.data, -30.0, 30.0)
+    z = np.minimum(30.0, np.maximum(-30.0, x.data))  # np.clip's values
     out = 1.0 / (1.0 + np.exp(-z))
 
     def bw(g):

@@ -407,15 +407,43 @@ def spec_to_text(spec: NetSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LAYER_KINDS = ("conv", "relu", "maxpool2", "channel_softmax", "sigmoid")
+_SPEC_KEYS = ("role", "in_channels", "out_channels", "image_channels")
+_OUTPUT_KIND = {"segmenter": "channel_softmax", "adversary": "sigmoid"}
+
+
+def _spec_int(key: str, value: str, least: int) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"{key}={value!r} is not an integer") from None
+    if n < least:
+        raise ValueError(f"{key}={n} is below {least}")
+    return n
+
+
 def _parse_layer(body: str) -> LayerSpec:
-    parts = body.split()
-    if parts[0] != "conv":
-        return LayerSpec(parts[0])
-    kw = dict(p.split("=") for p in parts[1:])
-    return LayerSpec("conv", **{f: int(kw[f]) for f in _LAYER_FIELDS})
+    kind, *fields = body.split() or [""]
+    if kind not in _LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if kind != "conv":
+        if fields:
+            raise ValueError(f"{kind} layer takes no fields, got {body!r}")
+        return LayerSpec(kind)
+    kw = dict(f.partition("=")[::2] for f in fields)
+    if len(kw) != len(fields) or set(kw) != set(_LAYER_FIELDS):
+        raise ValueError(f"conv layer needs {'=, '.join(_LAYER_FIELDS)}= "
+                         f"once each, got {body!r}")
+    return LayerSpec("conv", **{f: _spec_int(f, kw[f], 0 if f == "padding" else 1)
+                                for f in _LAYER_FIELDS})
 
 
 def spec_from_text(text: str) -> NetSpec:
+    """The NetSpec that ``spec_to_text`` wrote. An unknown key, role or
+    layer kind, a missing or malformed value, branch layers without a
+    ``concat_branches`` after them, a last layer other than the role's
+    output activation (so no cut at a line end passes), or channels that do
+    not chain raise ValueError, with the fault in the message."""
     meta = {}
     layer_list: list[LayerSpec] = []
     pending_branch: list[LayerSpec] = []
@@ -434,10 +462,24 @@ def spec_from_text(text: str) -> NetSpec:
                 layer_list.append(_parse_layer(value))
         elif key == "branch_layer":
             pending_branch.append(_parse_layer(value))
-        else:
+        elif key in _SPEC_KEYS:
             meta[key] = value
-    return NetSpec(meta["role"], tuple(layer_list), int(meta["in_channels"]),
-                   int(meta["out_channels"]), int(meta["image_channels"]))
+        else:
+            raise ValueError(f"unknown spec key {key!r}")
+    missing = [key for key in _SPEC_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"spec does not set {', '.join(missing)}")
+    role = meta["role"]
+    if role not in _OUTPUT_KIND:
+        raise ValueError(f"unknown role {role!r}")
+    if pending_branch:
+        raise ValueError("branch layers without a concat_branches layer after them")
+    if not layer_list or layer_list[-1].kind != _OUTPUT_KIND[role]:
+        raise ValueError(f"the {role} does not end with a {_OUTPUT_KIND[role]} layer")
+    return NetSpec(role, tuple(layer_list),
+                   _spec_int("in_channels", meta["in_channels"], 1),
+                   _spec_int("out_channels", meta["out_channels"], 1),
+                   _spec_int("image_channels", meta["image_channels"], 0))
 
 
 def save_spec(spec: NetSpec, path) -> None:

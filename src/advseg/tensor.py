@@ -140,9 +140,10 @@ class Tensor:
 
 def _make(data: np.ndarray, op_kind: str, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    if any(t.requires_grad for t in inputs):
-        return Tensor(data, requires_grad=True,
-                      node=GraphNode(op_kind, inputs, backward_fn))
+    for t in inputs:
+        if t.requires_grad:
+            return Tensor(data, requires_grad=True,
+                          node=GraphNode(op_kind, inputs, backward_fn))
     return Tensor(data)
 
 
@@ -185,7 +186,7 @@ def mul(a: Tensor, b) -> Tensor:
 def div(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         _check_same_shape(a, b, "div")
-        if np.any(b.data == 0.0):
+        if (b.data == 0.0).any():
             raise ValueError("div: zero denominator")
         ad, bd = a.data, b.data
         return _make(ad / bd, "div", [a, b],
@@ -201,7 +202,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
+    if (a.data <= 0.0).any():
         raise ValueError("log: non-positive input; clamp upstream")
     ad = a.data
     return _make(np.log(ad), "log", [a], lambda g: (g / ad,))
@@ -227,7 +228,9 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     if lo > hi:
         raise ValueError("clamp: lo > hi")
     mask = (a.data >= lo) & (a.data <= hi)
-    return _make(np.clip(a.data, lo, hi), "clamp", [a],
+    # np.clip's values, ties and NaNs included: np.maximum and np.minimum
+    # return their second operand when the two compare equal
+    return _make(np.minimum(hi, np.maximum(lo, a.data)), "clamp", [a],
                  lambda g: (g * mask,))
 
 
@@ -259,7 +262,7 @@ def reduce_sum(a: Tensor, axes=None) -> Tensor:
     def bw(g):
         return (np.broadcast_to(np.expand_dims(g, axes), shape),)
 
-    return _make(a.data.sum(axis=axes), "sum", [a], bw)
+    return _make(np.add.reduce(a.data, axis=axes), "sum", [a], bw)
 
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
@@ -272,7 +275,8 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
     def bw(g):
         return (np.broadcast_to(np.expand_dims(g, axes), shape) / count,)
 
-    return _make(a.data.mean(axis=axes), "mean", [a], bw)
+    # ndarray.mean's values: the sum divided by the count
+    return _make(np.add.reduce(a.data, axis=axes) / count, "mean", [a], bw)
 
 
 def reduce_max(a: Tensor, axes=None) -> Tensor:
@@ -404,6 +408,11 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     Error per element is |analytic - numeric| / max(1e-8, |analytic| + |numeric|);
     numeric = (f(x + h e) - f(x - h e)) / 2h. ``f`` must return a scalar tensor
     and must read ``x``'s current data on every call.
+
+    Only the analytic pass builds a graph. The central differences run with
+    ``x.requires_grad`` off, so where nothing else in ``f`` requires grad
+    every op returns a plain tensor; the flag is True again on return, and
+    also when ``f`` raises.
     """
     x.requires_grad = True
     x.grad = None
@@ -416,14 +425,18 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     numeric = np.empty_like(x.data)
     flat = x.data.reshape(-1)
     nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x).item()
-        flat[i] = orig - h
-        fm = f(x).item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * h)
+    x.requires_grad = False
+    try:
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = f(x).item()
+            flat[i] = orig - h
+            fm = f(x).item()
+            flat[i] = orig
+            nflat[i] = (fp - fm) / (2.0 * h)
+    finally:
+        x.requires_grad = True
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -428,8 +428,26 @@ def _other_shapes(path):
     cli.N.save_params(cli.N.init_params(spec, 0), path)
 
 
+def _spec_cut(path):
+    spec = path.with_name("segmenter.spec")
+    spec.write_bytes(spec.read_bytes()[:60])
+
+
+def _spec_bad_int(path):
+    spec = path.with_name("segmenter.spec")
+    spec.write_text(spec.read_text().replace("k=3", "k=x", 1))
+
+
+def _spec_unknown_kind(path):
+    spec = path.with_name("segmenter.spec")
+    spec.write_text(spec.read_text().replace("= relu", "= tanh", 1))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "payload"), (_bad_header, "header"), (_other_shapes, "shape"),
+    (_spec_cut, "segmenter.spec: unknown spec key"),
+    (_spec_bad_int, "segmenter.spec: k='x' is not an integer"),
+    (_spec_unknown_kind, "segmenter.spec: unknown layer kind 'tanh'"),
 ])
 @pytest.mark.parametrize("command", ["eval", "export-maps"])
 def test_corrupt_checkpoint_exits_3_before_writing(tmp_path, capsys, data_dir,

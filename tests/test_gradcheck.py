@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 import advseg.gradcheck as G
+import advseg.tensor as T
 from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.losses import ObjectiveConfig, adversary_objective, segmenter_objective
 from advseg.networks import forward
-from advseg.tensor import backward
+from advseg.tensor import backward, grad_check
 
 
 def _whole_composition_losses(instance):
@@ -61,3 +63,40 @@ def test_composition_closures_equal_the_whole_composition(monkeypatch):
             flat[i] = orig
         np.testing.assert_array_equal(_grad(f, p), _grad(ref, p), err_msg=name)
 
+
+def test_grad_check_builds_graph_nodes_in_its_analytic_pass_only(monkeypatch):
+    (_, x, f), = [case for case in G._composition_cases()
+                  if case[0] == "end_to_end_adv[L12.kernel]"]
+    assert x.size > 1
+    built = []
+
+    class CountedNode(T.GraphNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(T, "GraphNode", CountedNode)
+    f(x)
+    one_forward = len(built)
+    assert one_forward > 0
+    built.clear()
+    err = grad_check(f, x)
+    # one forward's worth of nodes, not 2 * x.size + 1 times that
+    assert len(built) == one_forward
+    assert err < G.TOLERANCE
+    assert x.requires_grad
+
+    seen = []
+
+    def fails_on_the_fourth_call(t):
+        seen.append(t.requires_grad)
+        if len(seen) == 4:
+            raise RuntimeError("stop")
+        return f(t)
+
+    with pytest.raises(RuntimeError, match="stop"):
+        grad_check(fails_on_the_fourth_call, x)
+    assert seen == [True, False, False, False]
+    assert x.requires_grad

@@ -354,12 +354,13 @@ def test_gradcheck_flags_conv_kernel_grad_without_final_flip(monkeypatch):
 
     def unflipped(x, p):
         out = real(x, p)
-        right = out.node.backward_fn
+        if out.node is not None:  # grad_check's differences build no graph
+            right = out.node.backward_fn
 
-        def wrong(g):
-            gx, gk, gb = right(g)
-            return gx, gk[:, :, ::-1, ::-1], gb
-        out.node.backward_fn = wrong
+            def wrong(g):
+                gx, gk, gb = right(g)
+                return gx, gk[:, :, ::-1, ::-1], gb
+            out.node.backward_fn = wrong
         return out
 
     monkeypatch.setattr(layers, "conv2d", unflipped)
@@ -492,8 +493,9 @@ def test_maxpool_batched_gradcheck_case_and_negative_control(monkeypatch):
 
     def scaled(t):
         out = real(t)
-        bw = out.node.backward_fn
-        out.node.backward_fn = lambda g: (1.5 * bw(g)[0],)
+        if out.node is not None:  # grad_check's differences build no graph
+            bw = out.node.backward_fn
+            out.node.backward_fn = lambda g: (1.5 * bw(g)[0],)
         return out
 
     monkeypatch.setattr(layers, "maxpool2", scaled)

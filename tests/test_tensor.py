@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from advseg.layers import sigmoid
+from advseg.losses import PROB_EPS
 from advseg.tensor import (
     GraphError,
     ShapeError,
@@ -202,6 +206,42 @@ def test_direct_elementwise_and_reduce_ops():
     np.testing.assert_array_equal(neg(x).data, [-1.0, -2.0])
     np.testing.assert_array_equal(clamp(x, 0.0, 1.5).data, [1.0, 1.5])
     assert reduce_mean(x).item() == 1.5
+
+
+# signed zeros, infinities, NaN, the clamp bounds used in the package and
+# the sigmoid clip at +-30, each exactly
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, PROB_EPS, 1.0 - PROB_EPS, 2.5,
+         -30.0, 30.0, np.nextafter(30.0, 31.0), np.nextafter(-30.0, -31.0)]
+
+
+def test_rewritten_primitives_match_numpy_bit_for_bit():
+    # clamp and sigmoid clip through np.minimum/np.maximum, and the reductions
+    # call np.add.reduce: each must give the bits of the numpy formulation
+    # written here, on ties with the bounds and at lengths that leave
+    # vector loops different tails
+    rng = np.random.default_rng(17)
+    for n in (0, 1, 3, 8, 17, 1000):
+        x = rng.permutation(np.concatenate([EDGES, rng.normal(scale=20.0, size=n)]))
+        for lo, hi in ((0.0, 2.5), (-0.0, 0.0), (0.0, -0.0), (2.5, 2.5),
+                       (PROB_EPS, 1.0 - PROB_EPS), (-30.0, 30.0)):
+            assert clamp(Tensor(x), lo, hi).data.tobytes() == \
+                np.clip(x, lo, hi).tobytes(), (n, lo, hi)
+        z = np.clip(x, -30.0, 30.0)
+        assert sigmoid(Tensor(x)).data.tobytes() == \
+            (1.0 / (1.0 + np.exp(-z))).tobytes(), n
+    a = rng.normal(size=(2, 3, 4, 5))
+    a.reshape(-1)[:len(EDGES)] = EDGES
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for arr in (a, a[:, :, :1, :1], np.array(-0.0), np.array(2.5)):
+            for r in range(arr.ndim + 1):
+                for axes in itertools.combinations(range(arr.ndim), r):
+                    t = Tensor(arr)
+                    assert reduce_sum(t, axes).data.tobytes() == \
+                        arr.sum(axis=axes).tobytes(), (arr.shape, axes)
+                    assert reduce_mean(t, axes).data.tobytes() == \
+                        arr.mean(axis=axes).tobytes(), (arr.shape, axes)
+            assert reduce_sum(Tensor(arr)).data.tobytes() == arr.sum().tobytes()
+            assert reduce_mean(Tensor(arr)).data.tobytes() == arr.mean().tobytes()
 
 
 def test_max_with_scalar_tie_gives_zero_grad():
