@@ -4,9 +4,11 @@ Subcommands: gen-data, train, eval, gradcheck, export-maps, grid. Behavior
 is controlled by a flat ``key = value`` config file ('#' starts a comment)
 plus repeatable ``--set key=value`` overrides, which win. The effective
 config is echoed into the output directory so any run can be reproduced
-from its artifacts alone; ``eval`` and ``export-maps`` read the class count
-and the preprocessing back from the echo next to the checkpoint. Outputs
-are deterministic: no timestamps, stable ordering, fixed float formatting.
+from its artifacts alone; ``eval`` and ``export-maps`` read the class count,
+the segmenter's width and depth and the preprocessing back from the echo
+next to the checkpoint and rebuild the segmenter from them, as training
+built it. Outputs are deterministic: no timestamps, stable ordering, fixed
+float formatting.
 
 Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
 3 I/O errors (a truncated or corrupt checkpoint among them).
@@ -213,9 +215,6 @@ def cmd_train(args) -> int:
     out_dir = _prepare_out_dir(cfg, args.out)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
-    seg_spec, adv_spec = TR.network_specs(tcfg)
-    N.save_spec(seg_spec, out_dir / "segmenter.spec")
-    N.save_spec(adv_spec, out_dir / "adversary.spec")
     if record.best_seg_params is not None:
         N.save_params(record.best_seg_params, out_dir / "segmenter.ckpt")
         N.save_params(record.best_adv_params, out_dir / "adversary.ckpt")
@@ -228,53 +227,47 @@ def cmd_train(args) -> int:
 
 
 # config keys that a checkpoint is evaluated with exactly as it was trained
-TRAINED_KEYS = ("num_classes", "lcn_window")
+TRAINED_KEYS = ("num_classes", "lcn_window", "channels_base", "n_context_layers")
 
 
 def _load_checkpoint(args):
-    """(config, spec, params) for evaluating the checkpoint in ``--ckpt``.
+    """(config, train config, segmenter spec, params) for evaluating the
+    checkpoint in ``--ckpt``.
 
     The config is the effective one, except that ``TRAINED_KEYS`` take the
     values of the ``config.echo`` that ``train`` wrote next to the
     checkpoint; a value given on the command line that differs is an error.
+    The segmenter is built from the config as ``train`` built it, and the
+    checkpoint must hold exactly its parameters.
     """
     given = config_overrides(args)
     ckpt_dir = Path(args.ckpt)
-    spec_path = ckpt_dir / "segmenter.spec"
     params_path = ckpt_dir / "segmenter.ckpt"
     echo_path = ckpt_dir / "config.echo"
-    if not (spec_path.exists() and params_path.exists() and echo_path.exists()):
+    if not (params_path.exists() and echo_path.exists()):
         raise CliError(f"no checkpoint in {ckpt_dir}", EXIT_IO)
     trained = parse_config_file(echo_path)
     missing = [key for key in TRAINED_KEYS if key not in trained]
     if missing:
         raise CliError(f"{echo_path} does not set {', '.join(missing)}", EXIT_FAIL)
     cfg = {**DEFAULTS, **{key: trained[key] for key in TRAINED_KEYS}, **given}
-    spec = _read_checkpoint(N.load_spec, spec_path)
-    if spec.out_channels != train_config_from(cfg).num_classes:
-        raise CliError(
-            f"num_classes={cfg['num_classes']}, but the segmenter in {ckpt_dir} "
-            f"predicts {spec.out_channels} classes", EXIT_FAIL)
+    tcfg = train_config_from(cfg)
     for key in TRAINED_KEYS:
         if cfg[key] != trained[key]:
             raise CliError(
                 f"{key}={cfg[key]}, but the checkpoint in {ckpt_dir} was "
                 f"trained with {key}={trained[key]}", EXIT_FAIL)
-    return cfg, spec, _read_checkpoint(N.load_params, params_path, spec)
-
-
-def _read_checkpoint(load, path, *args):
-    """``load(path, *args)``, its ValueError turned into exit 3."""
+    spec = TR.network_specs(tcfg)[0]
     try:
-        return load(path, *args)
+        params = N.load_params(params_path, spec)
     except ValueError as e:
-        raise CliError(f"corrupt checkpoint {path}: {e}", EXIT_IO) from None
+        raise CliError(f"corrupt checkpoint {params_path}: {e}", EXIT_IO) from None
+    return cfg, tcfg, spec, params
 
 
 def cmd_eval(args) -> int:
-    cfg, spec, params = _load_checkpoint(args)
+    cfg, tcfg, spec, params = _load_checkpoint(args)
     splits = [split.strip() for split in cfg["splits"].split(",")]
-    tcfg = train_config_from(cfg)
     ds = _load_dataset(args.data, splits, tcfg.lcn_window)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
@@ -304,8 +297,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_maps(args) -> int:
-    cfg, spec, params = _load_checkpoint(args)
-    tcfg = train_config_from(cfg)
+    cfg, tcfg, spec, params = _load_checkpoint(args)
     ds = _load_dataset(args.data, lcn_window=tcfg.lcn_window)
     with _config_values():
         count = int(cfg["export_count"])

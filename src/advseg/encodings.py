@@ -46,11 +46,10 @@ class EncodingKind:
 
 @dataclass
 class AdvInput:
-    """One adversary input: channel stack, optional image for the image
-    branch, and where the label content came from."""
+    """One adversary input: channel stack and optional image for the image
+    branch."""
 
     channels: Tensor
-    provenance: str  # "ground_truth" | "predicted"
     image: Tensor | None = None
 
 
@@ -192,6 +191,6 @@ def build_adv_pair(image, labels, seg_out: Tensor,
         pred_channels = encode_basic(seg_out, mask)
 
     branch_img = Tensor(img_const) if enc.include_image else None
-    gt = AdvInput(gt_channels.detach(), "ground_truth", branch_img)
-    pred = AdvInput(pred_channels, "predicted", branch_img)
+    gt = AdvInput(gt_channels.detach(), branch_img)
+    pred = AdvInput(pred_channels, branch_img)
     return gt, pred

@@ -314,14 +314,8 @@ def detach_params(params: dict) -> dict:
     return {name: t.detach() for name, t in params.items()}
 
 
-def set_requires_grad(params: dict, flag: bool) -> None:
-    for t in params.values():
-        t.requires_grad = flag
-
-
 # ---------------------------------------------------------------------------
-# persistence: a text index in front of concatenated "ADVT" tensor blobs,
-# and the NetSpec as key-value lines (one layer per line).
+# persistence: a text index in front of concatenated "ADVT" tensor blobs
 
 
 def save_params(params: dict, path) -> None:
@@ -378,115 +372,3 @@ def load_params(path, spec: NetSpec | None = None) -> dict:
                     f"{name}: shape {got.get(name, 'missing')} in the checkpoint, "
                     f"{want.get(name, 'none')} in the {spec.role}")
     return params
-
-
-_LAYER_FIELDS = ("in_ch", "out_ch", "k", "stride", "dilation", "padding")
-
-
-def _layer_line(prefix: str, lay: LayerSpec) -> str:
-    if lay.kind == "conv":
-        geom = " ".join(f"{f}={getattr(lay, f)}" for f in _LAYER_FIELDS)
-        return f"{prefix} = conv {geom}"
-    return f"{prefix} = {lay.kind}"
-
-
-def spec_to_text(spec: NetSpec) -> str:
-    lines = [
-        f"role = {spec.role}",
-        f"in_channels = {spec.in_channels}",
-        f"out_channels = {spec.out_channels}",
-        f"image_channels = {spec.image_channels}",
-    ]
-    for lay in spec.layers:
-        if lay.kind == "concat_branches":
-            for bl in lay.branch:
-                lines.append(_layer_line("branch_layer", bl))
-            lines.append("layer = concat_branches")
-        else:
-            lines.append(_layer_line("layer", lay))
-    return "\n".join(lines) + "\n"
-
-
-_LAYER_KINDS = ("conv", "relu", "maxpool2", "channel_softmax", "sigmoid")
-_SPEC_KEYS = ("role", "in_channels", "out_channels", "image_channels")
-_OUTPUT_KIND = {"segmenter": "channel_softmax", "adversary": "sigmoid"}
-
-
-def _spec_int(key: str, value: str, least: int) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(f"{key}={value!r} is not an integer") from None
-    if n < least:
-        raise ValueError(f"{key}={n} is below {least}")
-    return n
-
-
-def _parse_layer(body: str) -> LayerSpec:
-    kind, *fields = body.split() or [""]
-    if kind not in _LAYER_KINDS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    if kind != "conv":
-        if fields:
-            raise ValueError(f"{kind} layer takes no fields, got {body!r}")
-        return LayerSpec(kind)
-    kw = dict(f.partition("=")[::2] for f in fields)
-    if len(kw) != len(fields) or set(kw) != set(_LAYER_FIELDS):
-        raise ValueError(f"conv layer needs {'=, '.join(_LAYER_FIELDS)}= "
-                         f"once each, got {body!r}")
-    return LayerSpec("conv", **{f: _spec_int(f, kw[f], 0 if f == "padding" else 1)
-                                for f in _LAYER_FIELDS})
-
-
-def spec_from_text(text: str) -> NetSpec:
-    """The NetSpec that ``spec_to_text`` wrote. An unknown key, role or
-    layer kind, a missing or malformed value, branch layers without a
-    ``concat_branches`` after them, a last layer other than the role's
-    output activation (so no cut at a line end passes), or channels that do
-    not chain raise ValueError, with the fault in the message."""
-    meta = {}
-    layer_list: list[LayerSpec] = []
-    pending_branch: list[LayerSpec] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "layer":
-            if value == "concat_branches":
-                layer_list.append(LayerSpec("concat_branches",
-                                            branch=tuple(pending_branch)))
-                pending_branch = []
-            else:
-                layer_list.append(_parse_layer(value))
-        elif key == "branch_layer":
-            pending_branch.append(_parse_layer(value))
-        elif key in _SPEC_KEYS:
-            meta[key] = value
-        else:
-            raise ValueError(f"unknown spec key {key!r}")
-    missing = [key for key in _SPEC_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"spec does not set {', '.join(missing)}")
-    role = meta["role"]
-    if role not in _OUTPUT_KIND:
-        raise ValueError(f"unknown role {role!r}")
-    if pending_branch:
-        raise ValueError("branch layers without a concat_branches layer after them")
-    if not layer_list or layer_list[-1].kind != _OUTPUT_KIND[role]:
-        raise ValueError(f"the {role} does not end with a {_OUTPUT_KIND[role]} layer")
-    return NetSpec(role, tuple(layer_list),
-                   _spec_int("in_channels", meta["in_channels"], 1),
-                   _spec_int("out_channels", meta["out_channels"], 1),
-                   _spec_int("image_channels", meta["image_channels"], 0))
-
-
-def save_spec(spec: NetSpec, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(spec_to_text(spec))
-
-
-def load_spec(path) -> NetSpec:
-    with open(path) as fh:
-        return spec_from_text(fh.read())

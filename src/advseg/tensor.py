@@ -411,8 +411,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
 
     Only the analytic pass builds a graph. The central differences run with
     ``x.requires_grad`` off, so where nothing else in ``f`` requires grad
-    every op returns a plain tensor; the flag is True again on return, and
-    also when ``f`` raises.
+    every op returns a plain tensor. On return, and also when ``f`` raises,
+    the flag is True again and ``x`` holds its original data.
     """
     x.requires_grad = True
     x.grad = None
@@ -429,11 +429,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     try:
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            fp = f(x).item()
-            flat[i] = orig - h
-            fm = f(x).item()
-            flat[i] = orig
+            try:
+                flat[i] = orig + h
+                fp = f(x).item()
+                flat[i] = orig - h
+                fm = f(x).item()
+            finally:
+                flat[i] = orig
             nflat[i] = (fp - fm) / (2.0 * h)
     finally:
         x.requires_grad = True

@@ -2,9 +2,10 @@
 
 Exactly one player updates per iteration; the active player flips at block
 boundaries (fast alternation is a block length of 1, the slow scheme uses
-longer blocks). During a segmenter turn the adversary is frozen; during an
-adversary turn the segmenter runs on detached parameters and builds no
-graph, so gradients never leak across players. Objectives are divided by
+longer blocks). Each player reads the other's parameters through detached
+views: the adversary in a segmenter turn passes gradients through to the
+predictions only, and the segmenter in an adversary turn builds no graph,
+so gradients never leak across players. Objectives are divided by
 batch size only; pixel sums stay at the per-image scale.
 
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
@@ -67,6 +68,19 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.lcn_window != 0 and (self.lcn_window < 3 or self.lcn_window % 2 == 0):
             raise ValueError("lcn_window must be 0 or an odd number >= 3")
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if self.channels_base < 1:
+            raise ValueError("channels_base must be >= 1")
+        if self.n_context_layers < 0:
+            raise ValueError("n_context_layers must be >= 0")
+        if self.adversary_fov not in ("large", "small"):
+            raise ValueError("adversary_fov must be 'large' or 'small'")
+        if self.adversary_capacity not in ("full", "light"):
+            raise ValueError("adversary_capacity must be 'full' or 'light'")
+        if self.encoding.kind == "scaling" and self.encoding.tau <= 1.0 / self.num_classes:
+            raise ValueError(f"tau must exceed 1/num_classes = "
+                             f"{1.0 / self.num_classes:.4f} for the scaling encoding")
 
     @property
     def effective_block_len(self) -> int:
@@ -169,10 +183,10 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
             probs = N.forward(state.seg_spec, state.seg_params, Tensor(batch.images))
             adv_on_pred = None
             if cfg.lam > 0.0:
-                N.set_requires_grad(state.adv_params, False)
                 _, pred = build_adv_pair(batch.images, batch.labels_ds, probs,
                                          cfg.encoding)
-                adv_on_pred = N.forward(state.adv_spec, state.adv_params,
+                adv_on_pred = N.forward(state.adv_spec,
+                                        N.detach_params(state.adv_params),
                                         _adv_inputs(pred))
             loss = mul(segmenter_objective(probs, batch.target_onehot, batch.mask,
                                            adv_on_pred, obj_cfg), 1.0 / b)
@@ -180,8 +194,6 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
             if math.isfinite(loss_val):
                 backward(loss)
                 sgd_step(state.seg_params, cfg.slr)
-            if cfg.lam > 0.0:
-                N.set_requires_grad(state.adv_params, True)
         else:
             probs = N.forward(state.seg_spec, N.detach_params(state.seg_params),
                               Tensor(batch.images))

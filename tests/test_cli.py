@@ -59,9 +59,8 @@ def test_gen_data_unwritable_dir_fails():
 
 
 def test_train_outputs(run_dir):
-    for name in ("run.log", "config.echo", "segmenter.ckpt", "segmenter.spec",
-                 "adversary.ckpt", "adversary.spec"):
-        assert (run_dir / name).exists(), name
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert names == ["adversary.ckpt", "config.echo", "run.log", "segmenter.ckpt"]
     log = (run_dir / "run.log").read_text().splitlines()
     assert log[0] == "status=completed"
     iters = [line.split()[0] for line in log[1:]]
@@ -145,7 +144,7 @@ def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
     assert run("export-maps", "--data", str(data_dir), "--ckpt", str(run_dir),
                "--out", str(out), *SMALL_NET, "--set", "export_count=2") == 0
     assert len(passes) == 1
-    spec = cli.N.load_spec(run_dir / "segmenter.spec")
+    spec = cli.N.build_segmenter(3, channels_base=4, n_context_layers=1)
     params = cli.N.load_params(run_dir / "segmenter.ckpt")
     for sample in cli._load_dataset(str(data_dir)).val[:2]:
         probs = cli.N.forward(spec, params, Tensor(sample.image[None]))
@@ -199,7 +198,7 @@ def test_class_count_mismatch_rejected(tmp_path, capsys, run_dir_4, command,
     assert code == cli.EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"num_classes={num_classes}" in err and "4 classes" in err
+    assert f"num_classes={num_classes}" in err and "num_classes=4" in err
     assert not out.exists()
 
 
@@ -237,6 +236,42 @@ def test_conflicting_preprocessing_rejected(tmp_path, capsys, data_dir,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "lcn_window=5" in err and "lcn_window=3" in err
+    assert not out.exists()
+
+
+# the segmenter's width and depth, without the adversary keys that eval and
+# export-maps do not read from the checkpoint's echo
+SMALL_SEGMENTER = ["--set", "num_classes=3", "--set", "channels_base=4",
+                   "--set", "n_context_layers=1"]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+def test_checkpoint_architecture_used_without_flags(tmp_path, data_dir, run_dir,
+                                                    command):
+    silent, explicit = tmp_path / "silent", tmp_path / "explicit"
+    for out, extra in ((silent, []), (explicit, SMALL_SEGMENTER)):
+        assert run(command, "--data", str(data_dir), "--ckpt", str(run_dir),
+                   "--out", str(out), *extra) == 0
+    echo = (silent / "config.echo").read_text()
+    assert "channels_base = 4" in echo and "n_context_layers = 1" in echo
+    names = sorted(p.name for p in silent.iterdir())
+    assert names == sorted(p.name for p in explicit.iterdir())
+    for name in names:
+        assert (silent / name).read_bytes() == (explicit / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["eval", "export-maps"])
+@pytest.mark.parametrize("key, value", [("channels_base", "8"),
+                                        ("n_context_layers", "2")])
+def test_conflicting_architecture_rejected(tmp_path, capsys, data_dir, run_dir,
+                                           command, key, value):
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data_dir), "--ckpt", str(run_dir),
+               "--out", str(out), "--set", f"{key}={value}")
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key}={value}" in err and f"trained with {key}=" in err
     assert not out.exists()
 
 
@@ -376,6 +411,17 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("grid", ["--set", "eval_every=0", "--slr", "0.001", "--alr", "0.05",
               "--lam", "0.0"]),
     ("export-maps", ["--set", "export_count=-1"]),
+    ("train", ["--set", "adversary_fov=bogus"]),
+    ("train", ["--set", "adversary_capacity=heavy"]),
+    ("train", ["--set", "num_classes=1"]),
+    ("train", ["--set", "channels_base=0"]),
+    ("train", ["--set", "encoding=scaling", "--set", "tau=0.25"]),
+    ("train", ["--set", "n_context_layers=-1"]),
+    ("grid", ["--set", "adversary_capacity=heavy", "--slr", "0.001", "--alr",
+              "0.05", "--lam", "0.0"]),
+    ("eval", ["--set", "adversary_fov=bogus"]),
+    ("export-maps", ["--set", "n_context_layers=-1"]),
+    ("eval", ["--set", "channels_base=0"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):
@@ -428,38 +474,35 @@ def _other_shapes(path):
     cli.N.save_params(cli.N.init_params(spec, 0), path)
 
 
-def _spec_cut(path):
-    spec = path.with_name("segmenter.spec")
-    spec.write_bytes(spec.read_bytes()[:60])
+def _echo_other_width(path):
+    echo = path.with_name("config.echo")
+    echo.write_text(echo.read_text().replace("channels_base = 4", "channels_base = 8"))
 
 
-def _spec_bad_int(path):
-    spec = path.with_name("segmenter.spec")
-    spec.write_text(spec.read_text().replace("k=3", "k=x", 1))
-
-
-def _spec_unknown_kind(path):
-    spec = path.with_name("segmenter.spec")
-    spec.write_text(spec.read_text().replace("= relu", "= tanh", 1))
+def _echo_other_depth(path):
+    echo = path.with_name("config.echo")
+    echo.write_text(echo.read_text().replace("n_context_layers = 1",
+                                             "n_context_layers = 2"))
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "payload"), (_bad_header, "header"), (_other_shapes, "shape"),
-    (_spec_cut, "segmenter.spec: unknown spec key"),
-    (_spec_bad_int, "segmenter.spec: k='x' is not an integer"),
-    (_spec_unknown_kind, "segmenter.spec: unknown layer kind 'tanh'"),
+    (_echo_other_width, "shape"), (_echo_other_depth, "shape"),
 ])
 @pytest.mark.parametrize("command", ["eval", "export-maps"])
 def test_corrupt_checkpoint_exits_3_before_writing(tmp_path, capsys, data_dir,
                                                    run_dir, command, corrupt,
                                                    message):
+    # no architecture flags: a config.echo edited to another segmenter is
+    # then caught by the checkpoint's parameter shapes
     ckpt = shutil.copytree(run_dir, tmp_path / "ckpt")
     corrupt(ckpt / "segmenter.ckpt")
     out = tmp_path / "out"
     code = run(command, "--data", str(data_dir), "--ckpt", str(ckpt),
-               "--out", str(out), *SMALL_NET)
+               "--out", str(out))
     assert code == cli.EXIT_IO
     err = capsys.readouterr().err
-    assert err.startswith("error: corrupt checkpoint ") and err.count("\n") == 1
+    assert err.startswith(f"error: corrupt checkpoint {ckpt / 'segmenter.ckpt'}: ")
+    assert err.count("\n") == 1
     assert message in err
     assert not out.exists()

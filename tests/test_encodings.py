@@ -215,7 +215,6 @@ def test_build_adv_pair_basic():
     labels[0, 2, 2] = VOID
     gt, pred = build_adv_pair(None, labels, seg, EncodingKind("basic"))
     assert isinstance(gt, AdvInput) and isinstance(pred, AdvInput)
-    assert gt.provenance == "ground_truth" and pred.provenance == "predicted"
     np.testing.assert_array_equal(gt.channels.data[0, :, 2, 2], 0.0)
     np.testing.assert_array_equal(pred.channels.data[0, :, 2, 2], 0.0)
     assert not gt.channels.requires_grad

@@ -96,7 +96,10 @@ def test_grad_check_builds_graph_nodes_in_its_analytic_pass_only(monkeypatch):
             raise RuntimeError("stop")
         return f(t)
 
+    before = x.data.copy()
     with pytest.raises(RuntimeError, match="stop"):
         grad_check(fails_on_the_fourth_call, x)
     assert seen == [True, False, False, False]
     assert x.requires_grad
+    # the fourth call saw x's second element perturbed; it is put back
+    assert x.data.tobytes() == before.tobytes()

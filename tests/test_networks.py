@@ -12,15 +12,11 @@ from advseg.networks import (
     forward,
     init_params,
     load_params,
-    load_spec,
     param_count,
     param_shapes,
     receptive_field,
     same_conv,
     save_params,
-    save_spec,
-    spec_from_text,
-    spec_to_text,
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
 
@@ -266,47 +262,6 @@ def test_load_params_checks_shapes_against_spec(tmp_path):
     save_params(params, path)
     with pytest.raises(ValueError, match="L7.bias: shape missing"):
         load_params(path, spec)
-
-
-def test_spec_text_roundtrip(tmp_path):
-    for spec in (build_segmenter(5, channels_base=8, n_context_layers=3),
-                 build_adversary(5, "small", "light", two_branch=True),
-                 build_adversary(15, "large")):
-        text = spec_to_text(spec)
-        assert spec_from_text(text) == spec
-        path = tmp_path / "net.spec"
-        save_spec(spec, path)
-        assert load_spec(path) == spec
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda text: text[:60], "unknown spec key 'image_chan'"),
-    (lambda text: text.replace("image_channels = 0\n", ""), "does not set image_channels"),
-    (lambda text: text + "depth = 3\n", "unknown spec key 'depth'"),
-    (lambda text: text.replace("segmenter", "generator"), "unknown role"),
-    (lambda text: text.replace("k=3", "k=x", 1), "k='x' is not an integer"),
-    (lambda text: text.replace("stride=1", "stride=0", 1), "stride=0 is below 1"),
-    (lambda text: text.replace(" padding=1", "", 1), "conv layer needs"),
-    (lambda text: text.replace("k=3", "k=3 k=3", 1), "once each"),
-    (lambda text: text.replace("= relu", "= tanh", 1), "unknown layer kind 'tanh'"),
-    (lambda text: text.replace("= relu", "= relu 2", 1), "takes no fields"),
-    (lambda text: text + "branch_layer = relu\n", "branch layers without"),
-    (lambda text: text.replace("layer = channel_softmax\n", ""), "does not end with"),
-])
-def test_spec_from_text_names_the_fault(edit, message):
-    text = spec_to_text(build_segmenter(2, channels_base=4, n_context_layers=1))
-    with pytest.raises(ValueError, match=message):
-        spec_from_text(edit(text))
-
-
-def test_spec_from_text_rejects_every_truncation():
-    for spec in (build_segmenter(5, channels_base=8, n_context_layers=5),
-                 build_adversary(5, "small", "light", two_branch=True)):
-        text = spec_to_text(spec)
-        assert spec_from_text(text[:-1]) == spec  # only the last newline cut
-        for cut in range(len(text) - 1):
-            with pytest.raises(ValueError):
-                spec_from_text(text[:cut])
 
 
 def test_forward_shape_errors():

@@ -157,6 +157,21 @@ def test_adversary_turn_builds_no_segmenter_graph(monkeypatch):
     assert seg_outputs[0].node is None and not seg_outputs[0].requires_grad
 
 
+def test_segmenter_turn_that_raises_leaves_adversary_trainable(monkeypatch):
+    import advseg.training as TR
+    state = init_state(tiny_cfg())
+    batch = make_batch(tiny_dataset().train, [0, 1], state.cfg,
+                       receptive_field(state.seg_spec)[2])
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(TR, "segmenter_objective", fails)
+    with pytest.raises(RuntimeError, match="stop"):
+        train_iteration(state, batch, player=SEGMENTER)
+    assert all(t.requires_grad for t in state.adv_params.values())
+
+
 @pytest.mark.skipif(not T._HEAP_KEPT, reason="no glibc mallopt to keep freed memory")
 def test_training_turns_reuse_freed_memory():
     # 64x64 scenes in batches of 4 free several MB per turn: enough for
@@ -356,7 +371,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(scheme="sometimes")
     for bad in (dict(eval_every=0), dict(batch_size=0), dict(max_iters=-1),
-                dict(lcn_window=1), dict(lcn_window=4), dict(lcn_window=-3)):
+                dict(lcn_window=1), dict(lcn_window=4), dict(lcn_window=-3),
+                dict(adversary_fov="bogus"), dict(adversary_capacity="heavy"),
+                dict(num_classes=1), dict(channels_base=0),
+                dict(n_context_layers=-1),
+                dict(encoding=EncodingKind("scaling", tau=0.25)),
+                dict(num_classes=3, encoding=EncodingKind("scaling", tau=0.3))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(max_iters=0, lcn_window=3)
+    TrainConfig(n_context_layers=0, encoding=EncodingKind("scaling", tau=0.26))
