@@ -290,7 +290,8 @@ def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
 
 
 def report_to_csv(report: EvalReport, num_classes: int) -> str:
-    """One row per class plus an aggregate row."""
+    """One row per class plus the aggregate rows; ``bf_images`` counts the
+    images that boundary F1 scored, so a ``mean_bf`` of ``na`` says why."""
     lines = ["row,class,accuracy,bf_f1"]
     for c in range(num_classes):
         acc = report.per_class_acc[c]
@@ -303,6 +304,7 @@ def report_to_csv(report: EvalReport, num_classes: int) -> str:
     lines.append(f"aggregate,mean_iou,{_fmt(report.mean_iou)},")
     lines.append(f"aggregate,mean_bf,{_fmt(report.mean_bf)},")
     lines.append(f"aggregate,bf_std,{_fmt(report.bf_std_across_images)},")
+    lines.append(f"aggregate,bf_images,{report.n_bf_images},")
     return "\n".join(lines) + "\n"
 
 

@@ -301,7 +301,7 @@ def reduce_max(a: Tensor, axes=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# channel-axis structure ops (axis ndim-3, i.e. C of (..., C, H, W))
+# structure ops: channel axis (ndim-3, i.e. C of (..., C, H, W)) and batch axis
 
 
 def _channel_axis(t: Tensor) -> int:
@@ -331,12 +331,12 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     return _make(out, "concat_channels", parts, bw)
 
 
-def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
-    """Channels [start, stop) of ``a``; backward zero-fills the complement."""
-    ax = _channel_axis(a)
-    c = a.shape[ax]
-    if not (0 <= start < stop <= c):
-        raise ShapeError(f"slice_channels: [{start},{stop}) out of range for C={c}")
+def _slice_axis(a: Tensor, ax: int, start: int, stop: int, op_kind: str) -> Tensor:
+    """Entries [start, stop) of ``a`` along axis ``ax``; backward zero-fills
+    the complement."""
+    n = a.shape[ax]
+    if not (0 <= start < stop <= n):
+        raise ShapeError(f"{op_kind}: [{start},{stop}) out of range for extent {n}")
     sl = [slice(None)] * a.ndim
     sl[ax] = slice(start, stop)
     sl = tuple(sl)
@@ -347,7 +347,18 @@ def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
         full[sl] = g
         return (full,)
 
-    return _make(a.data[sl].copy(), "slice_channels", [a], bw)
+    return _make(a.data[sl].copy(), op_kind, [a], bw)
+
+
+def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
+    """Channels [start, stop) of ``a``; backward zero-fills the complement."""
+    return _slice_axis(a, _channel_axis(a), start, stop, "slice_channels")
+
+
+def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
+    """Images [start, stop) of a batch (axis 0); backward zero-fills the
+    complement."""
+    return _slice_axis(a, 0, start, stop, "slice_batch")
 
 
 # ---------------------------------------------------------------------------

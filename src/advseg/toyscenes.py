@@ -57,6 +57,11 @@ class SceneSpec:
     void_ribbon_px: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        self.colors()  # a class count the palette cannot separate raises here
+
     def colors(self) -> tuple:
         return self.base_colors if self.base_colors else default_colors(self.num_classes)
 

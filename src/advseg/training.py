@@ -275,6 +275,7 @@ def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
             "mean_iou": report.mean_iou,
             "mean_bf": report.mean_bf,
             "bf_std": report.bf_std_across_images,
+            "bf_images": report.n_bf_images,
             "adv_acc_gt": acc_gt,
             "adv_acc_pred": acc_pred,
         })
@@ -331,15 +332,20 @@ def train_run(cfg: TrainConfig, dataset) -> RunRecord:
 
 
 def record_log_text(record: RunRecord) -> str:
-    """One evaluation row per line, 'key=value' columns."""
+    """One evaluation row per line, 'key=value' columns; ``bf_images`` counts
+    the images that boundary F1 scored, so a ``mean_bf=na`` says why."""
     lines = [f"status={record.status}"
              + (f" diverged_at={record.diverged_at}" if record.diverged_at is not None else "")]
     for row in record.rows:
         parts = [f"iter={row['iter']}", f"split={row['split']}"]
         for key in ("pixel_acc", "mean_class_acc", "mean_iou", "mean_bf",
-                    "bf_std", "adv_acc_gt", "adv_acc_pred"):
+                    "bf_std", "bf_images", "adv_acc_gt", "adv_acc_pred"):
             v = row[key]
-            parts.append(f"{key}={'na' if v is None else f'{v:.6f}'}")
+            if v is None:
+                v = "na"
+            elif not isinstance(v, int):
+                v = f"{v:.6f}"
+            parts.append(f"{key}={v}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

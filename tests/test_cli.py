@@ -118,10 +118,14 @@ def test_eval_outputs_and_determinism(tmp_path, data_dir, run_dir):
         assert code == 0
     for name in ("eval_val.csv", "eval_val.txt", "eval_test.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    header = (out1 / "eval_val.csv").read_text().splitlines()[0]
-    assert header == "row,class,accuracy,bf_f1"
+    rows = (out1 / "eval_val.csv").read_text().splitlines()
+    assert rows[0] == "row,class,accuracy,bf_f1"
+    # gen-data's scenes all hold VOID pixels, and boundary F1 scores fully
+    # labelled images only
+    assert rows[-2:] == ["aggregate,bf_std,na,", "aggregate,bf_images,0,"]
     summary = (out1 / "eval_val.txt").read_text()
-    for key in ("pixel_acc=", "mean_class_acc=", "mean_iou=", "mean_bf=", "bf_std="):
+    for key in ("pixel_acc=", "mean_class_acc=", "mean_iou=", "mean_bf=", "bf_std=",
+                "bf_images="):
         assert key in summary
 
 
@@ -422,6 +426,8 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("eval", ["--set", "adversary_fov=bogus"]),
     ("export-maps", ["--set", "n_context_layers=-1"]),
     ("eval", ["--set", "channels_base=0"]),
+    ("gen-data", ["--set", "num_classes=5"]),
+    ("gen-data", ["--set", "num_classes=0"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import advseg.gradcheck as G
+import advseg.networks as N
 import advseg.tensor as T
 from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.losses import ObjectiveConfig, adversary_objective, segmenter_objective
@@ -103,3 +104,61 @@ def test_grad_check_builds_graph_nodes_in_its_analytic_pass_only(monkeypatch):
     assert x.requires_grad
     # the fourth call saw x's second element perturbed; it is put back
     assert x.data.tobytes() == before.tobytes()
+
+
+def test_kink_margin_search_covers_the_ground_truth_pass(monkeypatch):
+    # the instance's margin is 1.19e-3 on the ground-truth pass and 3.30e-3
+    # on the predicted one; a search that traced the predicted pass only
+    # would accept it at 1.5e-3
+    assert G.find_composition_instance(max_tries=6) is not None
+    monkeypatch.setattr(G, "KINK_MARGIN", 1.5e-3)
+    with pytest.raises(RuntimeError, match="no kink-free"):
+        G.find_composition_instance(max_tries=6)
+
+
+def _adversary_cases():
+    return [case for case in G._composition_cases()
+            if case[0].startswith("end_to_end_adv")]
+
+
+def test_each_adversary_function_value_runs_the_adversary_once(monkeypatch):
+    cases = _adversary_cases()
+    real = N.forward
+    adv_calls = []
+
+    def counted(spec, *args, **kwargs):
+        if spec.role == "adversary":
+            adv_calls.append(kwargs.get("start", 0))
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(N, "forward", counted)
+    for name, p, f in cases:
+        adv_calls.clear()
+        f(p)
+        assert len(adv_calls) == 1, name
+        assert adv_calls[0] == G._layer_of(name[len("end_to_end_adv["):-1]), name
+
+    (_, p, f), = [case for case in cases if case[0] == "end_to_end_adv[L5.bias]"]
+    values = []
+    adv_calls.clear()
+    assert grad_check(lambda t: values.append(t) or f(t), p) < G.TOLERANCE
+    assert len(values) == 2 * p.size + 1 == len(adv_calls)
+
+
+def test_slice_batch_case_and_negative_control(monkeypatch):
+    (x, f), = [(x, f) for name, x, f in G._structure_cases() if name == "slice_batch"]
+    assert grad_check(f, x) < G.TOLERANCE
+    cases = _adversary_cases()
+    real = T.slice_batch
+
+    def scaled(*args):
+        out = real(*args)
+        if out.node is not None:  # grad_check's differences build no graph
+            bw = out.node.backward_fn
+            out.node.backward_fn = lambda g: (1.5 * bw(g)[0],)
+        return out
+
+    monkeypatch.setattr(T, "slice_batch", scaled)
+    assert grad_check(f, x) > G.TOLERANCE
+    for name, p, loss in cases:
+        assert grad_check(loss, p) > G.TOLERANCE, name

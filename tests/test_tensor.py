@@ -25,6 +25,7 @@ from advseg.tensor import (
     reduce_mean,
     reduce_sum,
     save_tensor,
+    slice_batch,
     slice_channels,
     sub,
     tensor_from_bytes,
@@ -119,6 +120,21 @@ def test_slice_channels_roundtrip():
     expect = np.zeros((2, 3, 2, 2))
     expect[:, 1:2] = 1.0
     np.testing.assert_array_equal(x.grad, expect)
+
+
+def test_slice_batch_halves_and_zero_filled_gradient():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
+    first, second = slice_batch(x, 0, 1), slice_batch(x, 1, 2)
+    assert first.node.op_kind == "slice_batch"
+    np.testing.assert_array_equal(first.data, x.data[:1])
+    np.testing.assert_array_equal(second.data, x.data[1:])
+    backward(reduce_sum(mul(second, 2.0)))
+    expect = np.zeros((2, 3, 2, 2))
+    expect[1] = 2.0
+    np.testing.assert_array_equal(x.grad, expect)
+    for bad in ((1, 1), (0, 3), (-1, 1)):
+        with pytest.raises(ShapeError):
+            slice_batch(x, *bad)
 
 
 def test_backward_quadratic():

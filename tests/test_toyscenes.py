@@ -82,6 +82,14 @@ def test_default_colors_pairwise_separated():
         default_colors(5)
 
 
+def test_scene_spec_rejects_class_counts_it_cannot_draw():
+    for bad in (0, 5):
+        with pytest.raises(ValueError):
+            SceneSpec(num_classes=bad)
+    colors = tuple((k / 5.0,) * 3 for k in range(5))
+    assert SceneSpec(num_classes=5, base_colors=colors).colors() == colors
+
+
 def test_make_dataset_splits():
     spec = SceneSpec(seed=5, height=16, width=16)
     ds = make_dataset(spec, 4, 2, 3)

@@ -281,6 +281,13 @@ def test_record_log_text_format():
     assert lines[0] == "status=completed"
     assert lines[1].startswith("iter=0 split=train")
     assert "mean_iou=" in lines[1] and "adv_acc_gt=" in lines[1]
+    # boundary F1 scores fully labelled images only: none of the default
+    # scenes, which hold VOID pixels, and every scene of a void-free dataset
+    assert " mean_bf=na bf_std=na bf_images=0 adv_acc_gt=" in lines[1]
+    void_free = train_run(cfg, tiny_dataset(void_border_px=0, void_ribbon_px=0))
+    rows = record_log_text(void_free).strip().splitlines()[1:]
+    assert [row.split()[1] + " " + row.split()[7] for row in rows] == [
+        "split=train bf_images=4", "split=val bf_images=2"] * 2
 
 
 def test_pretrain_flag_runs_extra_adversary_iterations():
