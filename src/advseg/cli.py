@@ -285,7 +285,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = G.run_suite(corrupt_op=args.corrupt)
+    try:
+        results = G.run_suite(corrupt_op=args.corrupt)
+    except G.UnknownOpKind as e:
+        raise CliError(str(e), EXIT_FAIL) from None
     width = max(len(name) for name, _ in results)
     for name, err in results:
         status = "ok" if err < G.TOLERANCE else "FAIL"
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
            data=True, ckpt=True)
 
     g = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    g.add_argument("--corrupt", help="negative control: corrupt this op's backward rule")
+    g.add_argument("--corrupt", help="negative control: scale this op kind's backward rule by 1.5")
 
     gr = sub.add_parser("grid", help="grid search over slr x alr x lambda")
     common(gr, data=True)

@@ -250,10 +250,6 @@ def init_params(spec: NetSpec, seed: int) -> dict:
     return params
 
 
-def param_count(spec: NetSpec) -> int:
-    return sum(int(np.prod(shape)) for shape in param_shapes(spec).values())
-
-
 def _apply(lay: LayerSpec, x: Tensor, params: dict, name: str) -> Tensor:
     if lay.kind == "conv":
         p = L.ConvParams(params[f"{name}.kernel"], params[f"{name}.bias"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import math
 import struct
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +60,8 @@ class GraphNode:
 
     ``backward_fn`` maps the output gradient to a tuple of input gradients
     (``None`` for inputs that do not require grad); any values the rule needs
-    are captured in its closure.
+    are captured in its closure. :func:`backward` looks ``op_kind`` up in
+    the override map that :func:`overridden_backward` sets.
     """
 
     __slots__ = ("op_kind", "inputs", "backward_fn")
@@ -364,18 +366,26 @@ def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward pass
 
+_GRAD_OVERRIDES: dict[str, Callable[[tuple], tuple]] = {}
 
-def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every requires_grad leaf below root.
 
-    ``root`` must be scalar (shape product 1). Repeated calls keep
-    accumulating until leaves' grads are reset.
-    """
-    if root.size != 1:
-        raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-    if not root.requires_grad:
-        return
+@contextmanager
+def overridden_backward(op_kind: str, transform: Callable[[tuple], tuple] | None = None):
+    """Within the block, :func:`backward` passes the input gradients of every
+    ``op_kind`` node through ``transform`` (default: ×1.5); the map is restored on exit."""
+    saved = dict(_GRAD_OVERRIDES)
+    _GRAD_OVERRIDES[op_kind] = transform or (
+        lambda grads: tuple(None if g is None else g * 1.5 for g in grads))
+    try:
+        yield
+    finally:
+        _GRAD_OVERRIDES.clear()
+        _GRAD_OVERRIDES.update(saved)
 
+
+def graph_order(root: Tensor) -> list[Tensor]:
+    """``root`` and the tensors it reaches through inputs that require grad,
+    each after its inputs."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -392,9 +402,21 @@ def backward(root: Tensor) -> None:
             for inp in t.node.inputs:
                 if inp.requires_grad and id(inp) not in seen:
                     stack.append((inp, False))
+    return topo
 
+
+def backward(root: Tensor) -> None:
+    """Accumulate d(root)/d(leaf) into every requires_grad leaf below root.
+
+    ``root`` must be scalar (shape product 1). Repeated calls keep
+    accumulating until leaves' grads are reset.
+    """
+    if root.size != 1:
+        raise GraphError(f"backward root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        return
     flows: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for t in reversed(topo):
+    for t in reversed(graph_order(root)):
         g = flows.pop(id(t), None)
         if g is None:
             continue
@@ -402,6 +424,9 @@ def backward(root: Tensor) -> None:
             t.grad = g if t.grad is None else t.grad + g
             continue
         in_grads = t.node.backward_fn(g)
+        transform = _GRAD_OVERRIDES.get(t.node.op_kind)
+        if transform is not None:
+            in_grads = transform(in_grads)
         for inp, ig in zip(t.node.inputs, in_grads):
             if ig is None or not inp.requires_grad:
                 continue
@@ -427,10 +452,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     """
     x.requires_grad = True
     x.grad = None
-    out = f(x)
-    if out.size != 1:
-        raise GraphError("grad_check requires a scalar-valued function")
-    backward(out)
+    backward(f(x))  # raises GraphError unless f is scalar-valued
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
     numeric = np.empty_like(x.data)
@@ -486,13 +508,3 @@ def tensor_from_bytes(buf: bytes) -> Tensor:
         raise ValueError("tensor payload length mismatch")
     data = np.frombuffer(buf, dtype="<f8", count=n, offset=off)
     return Tensor(data.reshape(shape).astype(np.float64))
-
-
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())

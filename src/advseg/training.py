@@ -246,9 +246,6 @@ class RunRecord:
     best_seg_params: dict | None = None
     best_adv_params: dict | None = None
 
-    def rows_for(self, split: str):
-        return [r for r in self.rows if r["split"] == split]
-
 
 def _snapshot(params: dict) -> dict:
     return {name: Tensor(t.data.copy(), requires_grad=True)
@@ -265,7 +262,8 @@ def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
             cfg.num_classes, bf_cfg, stride,
             preprocess=partial(preprocess_images, cfg=cfg),
             outputs=val_outputs if split == "val" else None)
-    acc_gt, acc_pred = adversary_accuracy(state, dataset.val, val_outputs)
+    acc_gt, acc_pred = (adversary_accuracy(state, dataset.val, val_outputs)
+                        if cfg.lam != 0.0 else (None, None))
     for split, report in reports.items():
         record.rows.append({
             "iter": state.iteration,
@@ -305,11 +303,15 @@ def train_run(cfg: TrainConfig, dataset) -> RunRecord:
     train_samples = dataset.train
 
     def turn(player=None) -> bool:
-        """Train one iteration on a fresh batch. A non-finite loss marks
-        the run diverged and returns False."""
+        """Train one iteration on a fresh batch (an adversary turn at lambda 0
+        only draws it). A non-finite loss marks the run diverged and returns False."""
         replace_draw = cfg.batch_size > len(train_samples)
         idx = state.rng.choice(len(train_samples), size=cfg.batch_size,
                                replace=replace_draw)
+        player = player or player_for_iteration(state.iteration, cfg.effective_block_len)
+        if player == ADVERSARY and cfg.lam == 0.0:
+            state.iteration += 1
+            return True
         train_iteration(state, make_batch(train_samples, idx, cfg, stride), player)
         if math.isfinite(state.loss_history[-1][2]):
             return True

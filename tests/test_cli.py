@@ -307,6 +307,19 @@ def test_gradcheck_cli_negative_control(capsys, fast_gradcheck):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["nosuchop", "relu", "MUL"])
+def test_gradcheck_cli_unknown_op_kind_exits_1_without_a_table(capsys, name):
+    assert run("gradcheck", "--corrupt", name) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot corrupt {name!r}: ") and err.count("\n") == 1
+    # the accepted names are the 19 op kinds the cases record
+    kinds = err.split("the op kinds ")[1].strip().split(", ")
+    assert len(kinds) == 19 and kinds == sorted(kinds)
+    assert kinds[0] == "add" and kinds[-1] == "sum"
+    assert {"mul", "conv2d", "maxpool2", "max_with_scalar"} <= set(kinds)
+
+
 def test_grid_cli(tmp_path, data_dir):
     out = tmp_path / "grid"
     code = run("grid", "--data", str(data_dir), "--out", str(out),

@@ -16,7 +16,6 @@ from advseg.tensor import (
     div,
     exp,
     grad_check,
-    load_tensor,
     log,
     max_with_scalar,
     mul,
@@ -24,7 +23,6 @@ from advseg.tensor import (
     reduce_max,
     reduce_mean,
     reduce_sum,
-    save_tensor,
     slice_batch,
     slice_channels,
     sub,
@@ -298,8 +296,8 @@ def test_serialization_roundtrip(tmp_path):
         assert back.data.tobytes() == t.data.tobytes()
     p = tmp_path / "t.advt"
     t = Tensor(rng.normal(size=(5, 2)))
-    save_tensor(t, p)
-    np.testing.assert_array_equal(load_tensor(p).data, t.data)
+    p.write_bytes(tensor_to_bytes(t))
+    np.testing.assert_array_equal(tensor_from_bytes(p.read_bytes()).data, t.data)
 
 
 def test_serialization_header_layout():

@@ -208,5 +208,6 @@ def test_learnability_smoke_baseline_fits_scenes():
                       max_iters=2000, seed=0, eval_every=500)
     record = train_run(cfg, ds)
     assert record.status == "completed"
-    final_train_miou = record.rows_for("train")[-1]["mean_iou"]
+    train_rows = [row for row in record.rows if row["split"] == "train"]
+    final_train_miou = train_rows[-1]["mean_iou"]
     assert final_train_miou >= 0.85, final_train_miou

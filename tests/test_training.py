@@ -197,7 +197,7 @@ def test_train_run_records_and_reproducibility():
     r1 = train_run(cfg, ds)
     r2 = train_run(cfg, ds)
     assert r1.status == "completed"
-    assert [row["iter"] for row in r1.rows_for("val")] == [0, 3, 6]
+    assert [row["iter"] for row in r1.rows if row["split"] == "val"] == [0, 3, 6]
     assert r1.loss_history == r2.loss_history
     for a, b in zip(r1.rows, r2.rows):
         assert a == b
@@ -270,7 +270,60 @@ def test_extreme_learning_rate_saturates_but_stays_finite():
     cfg = tiny_cfg(slr=1e6, lam=0.0, max_iters=20, eval_every=20)
     record = train_run(cfg, tiny_dataset())
     assert record.status == "completed"
+    # the skipped adversary turns of lambda 0 record nothing
+    assert [(it, p) for it, p, _ in record.loss_history] == [
+        (it, SEGMENTER) for it in range(0, 20, 2)]
     assert all(np.isfinite(v) for _, _, v in record.loss_history)
+
+
+@pytest.mark.parametrize("scheme, block_len", [("fast", 1), ("slow", 3)])
+def test_lambda_0_skips_adversary_turns_and_keeps_the_segmenter_trajectory(
+        monkeypatch, scheme, block_len):
+    import advseg.networks as N
+    import advseg.training as tr
+
+    cfg = tiny_cfg(lam=0.0, scheme=scheme, block_len=block_len, max_iters=10,
+                   eval_every=5, pretrain_adversary_iters=2)
+    ds = tiny_dataset()
+    states, roles = [], []
+    real_init, real_forward = tr.init_state, N.forward
+
+    def kept_init(c):
+        states.append(real_init(c))
+        return states[-1]
+
+    def counted(spec, *args, **kwargs):
+        roles.append(spec.role)
+        return real_forward(spec, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "init_state", kept_init)
+    monkeypatch.setattr(N, "forward", counted)
+    record = train_run(cfg, ds)
+    monkeypatch.undo()
+    assert record.status == "completed"
+    assert "adversary" not in roles
+    assert all(row["adv_acc_gt"] is None and row["adv_acc_pred"] is None
+               for row in record.rows)
+    assert " adv_acc_gt=na adv_acc_pred=na" in record_log_text(record)
+
+    # the same draws with every turn run, the adversary's included
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+
+    def draw():
+        return make_batch(ds.train, state.rng.choice(len(ds.train), size=cfg.batch_size,
+                                                     replace=False), cfg, stride)
+
+    for _ in range(cfg.pretrain_adversary_iters):
+        train_iteration(state, draw(), ADVERSARY)
+    state.iteration = 0
+    while state.iteration < cfg.max_iters:
+        train_iteration(state, draw())
+    players = [p for _, p, _ in state.loss_history[cfg.pretrain_adversary_iters:]]
+    assert players.count(ADVERSARY) == (4 if scheme == "slow" else 5)
+    assert params_bytes(states[0].seg_params) == params_bytes(state.seg_params)
+    assert params_bytes(states[0].adv_params) == params_bytes(init_state(cfg).adv_params)
+    assert states[0].rng.bit_generator.state == state.rng.bit_generator.state
 
 
 def test_record_log_text_format():
