@@ -11,7 +11,7 @@ built it. Outputs are deterministic: no timestamps, stable ordering, fixed
 float formatting.
 
 Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
-3 I/O errors (a truncated or corrupt checkpoint among them).
+3 I/O errors (a truncated or corrupt checkpoint or dataset among them).
 """
 
 from __future__ import annotations
@@ -172,24 +172,43 @@ def _prepare_out_dir(cfg: dict, out: str) -> Path:
     return out_dir
 
 
-def _load_dataset(path: str, splits=(), lcn_window: int = 0) -> D.Dataset:
-    """The dataset in ``path``; each of ``splits`` must be non-empty, and an
-    LCN window must fit in every image."""
+def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Dataset:
+    """The dataset in ``path``, which must suit ``tcfg``: the same class
+    count, each of ``splits`` non-empty, an LCN window that fits in every
+    image, and extents that the segmenter pools evenly, and at any lambda
+    > 0 in ``lams`` the adversary after it as well. A file that does not
+    parse is a corrupt dataset (exit 3)."""
     data_dir = Path(path)
     if not (data_dir / "manifest.txt").exists():
         raise CliError(f"no dataset at {data_dir} (missing manifest.txt)", EXIT_IO)
-    ds = D.load_dataset(data_dir)
+    try:
+        ds = D.load_dataset(data_dir)
+    except ValueError as e:
+        raise CliError(f"corrupt dataset in {data_dir}: {e}", EXIT_IO) from None
+    if ds.spec.num_classes != tcfg.num_classes:
+        raise CliError(f"num_classes={tcfg.num_classes}, but the dataset in "
+                       f"{data_dir} has num_classes={ds.spec.num_classes}", EXIT_FAIL)
     for split in splits:
         if split not in ("train", "val", "test"):
             raise CliError(f"unknown split {split!r}", EXIT_FAIL)
         if not ds.split(split):
             raise CliError(f"split {split!r} of {data_dir} is empty", EXIT_FAIL)
-    extent = min((min(s.image.shape[1:]) for s in ds.train + ds.val + ds.test),
-                 default=lcn_window)
-    if lcn_window > extent:
-        raise CliError(f"invalid config value: lcn_window={lcn_window} exceeds "
+    samples = ds.train + ds.val + ds.test
+    extent = min((min(s.image.shape[1:]) for s in samples), default=tcfg.lcn_window)
+    if tcfg.lcn_window > extent:
+        raise CliError(f"invalid config value: lcn_window={tcfg.lcn_window} exceeds "
                        f"the {extent}-pixel extent of the images in {data_dir}",
                        EXIT_FAIL)
+    seg_spec, adv_spec = TR.network_specs(tcfg)
+    nets, stride = "the segmenter", N.receptive_field(seg_spec)[2]
+    if any(lam > 0 for lam in lams):
+        nets += " and adversary at lambda > 0"
+        stride *= N.receptive_field(adv_spec)[2]
+    for h, w in sorted({s.image.shape[1:] for s in samples}):
+        if h % stride or w % stride:
+            raise CliError(f"the {h}x{w} images in {data_dir} do not pool evenly: "
+                           f"extents must be multiples of {stride}, the total "
+                           f"stride of {nets}", EXIT_FAIL)
     return ds
 
 
@@ -211,7 +230,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     tcfg = train_config_from(cfg)
-    ds = _load_dataset(args.data, ("train", "val"), tcfg.lcn_window)
+    ds = _load_dataset(args.data, tcfg, ("train", "val"), (tcfg.lam,))
     out_dir = _prepare_out_dir(cfg, args.out)
     record = TR.train_run(tcfg, ds)
     (out_dir / "run.log").write_text(TR.record_log_text(record))
@@ -268,7 +287,7 @@ def _load_checkpoint(args):
 def cmd_eval(args) -> int:
     cfg, tcfg, spec, params = _load_checkpoint(args)
     splits = [split.strip() for split in cfg["splits"].split(",")]
-    ds = _load_dataset(args.data, splits, tcfg.lcn_window)
+    ds = _load_dataset(args.data, tcfg, splits)
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
@@ -301,7 +320,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_maps(args) -> int:
     cfg, tcfg, spec, params = _load_checkpoint(args)
-    ds = _load_dataset(args.data, lcn_window=tcfg.lcn_window)
+    ds = _load_dataset(args.data, tcfg)
     with _config_values():
         count = int(cfg["export_count"])
         if count < 0:
@@ -339,7 +358,7 @@ def cmd_grid(args) -> int:
                             for values in (args.slr, args.alr, args.lam))
         for slr, alr, lam in itertools.product(slrs, alrs, lams):
             replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
-    ds = _load_dataset(args.data, ("train", "val"), base.lcn_window)
+    ds = _load_dataset(args.data, base, ("train", "val"), lams)
     out_dir = _prepare_out_dir(cfg, args.out)
     best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
     lines = []

@@ -96,19 +96,14 @@ def encode_basic(prob, mask) -> Tensor:
 
 def encode_product(image: np.ndarray, prob: Tensor, mask) -> Tensor:
     """Channel (3c + k) is class-c probability times color channel k; the
-    image is nearest-neighbor down-sampled to the probability resolution."""
+    (N, 3, h, w) image must already be at the probability resolution, as
+    ``build_adv_pair`` hands it over."""
     if prob.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) probabilities, got {prob.shape}")
     n, c, h, w = prob.shape
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3:
-        img = img[None]
-    if img.shape[0] != n or img.shape[1] != 3:
-        raise ShapeError(f"expected (N, 3, H0, W0) image, got {img.shape}")
-    if img.shape[2] != h or img.shape[3] != w:
-        if img.shape[2] % h or img.shape[3] % w or img.shape[2] // h != img.shape[3] // w:
-            raise ShapeError(f"image {img.shape[2:]} not a multiple of map {h}x{w}")
-        img = downsample_image(img, img.shape[2] // h)
+    if img.shape != (n, 3, h, w):
+        raise ShapeError(f"expected an {(n, 3, h, w)} image, got {img.shape}")
 
     zeroed = apply_void_zeroing(prob, mask)
     class_rep = concat_channels(

@@ -91,11 +91,8 @@ def _elementwise_cases():
     yield "sub", a, lambda t: _sq_sum(T.sub(t, b))
     yield "mul", a, lambda t: _sq_sum(T.mul(t, b))
     yield "mul_scalar", a, lambda t: _sq_sum(T.mul(t, -1.3))
-    yield "div", a, lambda t: _sq_sum(T.div(t, b))
-    yield "div_num", b, lambda t: _sq_sum(T.div(a, t))
     yield "neg", a, lambda t: _sq_sum(T.neg(t))
     yield "log", a, lambda t: _sq_sum(T.log(t))
-    yield "exp", a, lambda t: _sq_sum(T.exp(T.mul(t, 0.5)))
     # a's elements stay at least 0.3 from the kink / clamp edges
     yield "max_with_scalar", a, lambda t: _sq_sum(T.max_with_scalar(t, 0.0))
     yield "clamp", a, lambda t: _sq_sum(T.clamp(t, 0.0, 2.5))
@@ -107,7 +104,6 @@ def _reduce_cases():
     yield "reduce_sum", a, lambda t: T.reduce_sum(T.mul(t, t))
     yield "reduce_sum_axis", a, lambda t: _sq_sum(T.reduce_sum(t, axes=0))
     yield "reduce_mean", a, lambda t: _sq_sum(T.reduce_mean(t, axes=1))
-    yield "reduce_max", a, lambda t: _sq_sum(T.reduce_max(t, axes=1))
 
 
 def _structure_cases():

@@ -1,9 +1,8 @@
 """Loss functions and the two players' objectives.
 
-The hybrid loss combines per-pixel multi-class cross-entropy with a
-lambda-weighted adversarial term. Training never minimizes it directly:
-the adversary minimizes a binary discrimination loss and the segmenter
-minimizes cross-entropy plus its adversarial surrogate. Per-image losses
+The two players minimize split objectives: the adversary a binary
+discrimination loss, the segmenter per-pixel multi-class cross-entropy plus
+a lambda-weighted adversarial surrogate. Per-image losses
 sum over pixels; batch objectives sum over images (the training engine
 divides by batch size). Probabilities are clamped to [1e-7, 1 - 1e-7]
 before any log so every objective stays finite.
@@ -115,14 +114,3 @@ def segmenter_objective(seg_out: Tensor, target_onehot, mask,
         return loss + mul(bce_loss(adv_on_pred, 1), cfg.lam)
     return loss - mul(bce_loss(adv_on_pred, 0), cfg.lam)
 
-
-def hybrid_loss(seg_out: Tensor, target_onehot, mask,
-                adv_on_gt: Tensor, adv_on_pred: Tensor,
-                cfg: ObjectiveConfig) -> Tensor:
-    """The combined two-player loss (diagnostic only; training uses the two
-    split objectives): sum_n mce - lam * [bce(a_gt, 1) + bce(a_pred, 0)]."""
-    loss = mce_loss(seg_out, target_onehot, mask)
-    if cfg.lam == 0.0:
-        return loss
-    bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
-    return loss - mul(bracket, cfg.lam)

@@ -35,16 +35,11 @@ from .labelmap import VOID, is_fully_labeled
 
 @dataclass(frozen=True)
 class BFConfig:
-    """Boundary-match tolerance rule: theta = reference px / smallest
-    diagonal, so tolerance(diag) = reference px exactly at the smallest
-    image."""
+    """Boundary-match tolerance rule: the tolerance is a fixed fraction of
+    the image diagonal, reference px exactly at the smallest image."""
 
     smallest_diagonal: float
     reference_tolerance_px: float = 5.0
-
-    @property
-    def theta(self) -> float:
-        return self.reference_tolerance_px / self.smallest_diagonal
 
     def tolerance(self, image_diag: float) -> float:
         return self.reference_tolerance_px * (image_diag / self.smallest_diagonal)
@@ -64,7 +59,8 @@ class EvalReport:
 
 def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """counts[g][p] over non-void ground-truth pixels; ``pred`` must not
-    contain VOID."""
+    contain VOID, and a ground-truth label of ``num_classes`` or more
+    raises ValueError."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
@@ -72,7 +68,11 @@ def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     if np.any(pred == VOID) or np.any(pred >= num_classes):
         raise ValueError("predictions must be class indices, never VOID")
     valid = gt != VOID
-    idx = gt[valid].astype(np.int64) * num_classes + pred[valid].astype(np.int64)
+    labels = gt[valid].astype(np.int64)
+    if np.any(labels >= num_classes):
+        raise ValueError(f"ground-truth label {labels.max()} out of range "
+                         f"for {num_classes} classes")
+    idx = labels * num_classes + pred[valid].astype(np.int64)
     counts = np.bincount(idx, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 
@@ -118,14 +118,6 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     mask[0, :] = mask[-1, :] = True
     mask[:, 0] = mask[:, -1] = True
     return mask
-
-
-def boundary_points(labels: np.ndarray, cls: int) -> np.ndarray:
-    """(K, 2) integer coordinates of class-``cls`` boundary pixels in
-    row-major order. VOID neighbors never create boundary points; the image
-    border always does."""
-    labels = np.asarray(labels)
-    return np.argwhere(boundary_mask(labels) & (labels == cls)).astype(np.int64)
 
 
 def _class_boundaries(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -201,16 +201,6 @@ def receptive_field(spec: NetSpec) -> tuple[int, int, int]:
     return rf, rf, jump
 
 
-def affected_outputs(spec: NetSpec, pixel: int, out_extent: int) -> tuple[int, int]:
-    """Inclusive output-index range [a, b] whose window covers an input
-    pixel along one axis; the analytic prediction the perturbation oracle
-    checks against."""
-    jump, lo, hi = rf_geometry(spec)
-    first = -(-(pixel - hi) // jump)  # ceil div
-    last = (pixel - lo) // jump
-    return max(first, 0), min(last, out_extent - 1)
-
-
 # ---------------------------------------------------------------------------
 # parameters and forward
 

@@ -133,9 +133,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -185,20 +182,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.data * s, "mul", [a], lambda g: (g * s,))
 
 
-def div(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        _check_same_shape(a, b, "div")
-        if (b.data == 0.0).any():
-            raise ValueError("div: zero denominator")
-        ad, bd = a.data, b.data
-        return _make(ad / bd, "div", [a, b],
-                     lambda g: (g / bd, -g * ad / (bd * bd)))
-    s = float(b)
-    if s == 0.0:
-        raise ValueError("div: zero scalar denominator")
-    return _make(a.data / s, "div", [a], lambda g: (g / s,))
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, "neg", [a], lambda g: (-g,))
 
@@ -208,12 +191,6 @@ def log(a: Tensor) -> Tensor:
         raise ValueError("log: non-positive input; clamp upstream")
     ad = a.data
     return _make(np.log(ad), "log", [a], lambda g: (g / ad,))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _make(out, "exp", [a], lambda g: (g * out,))
 
 
 def max_with_scalar(a: Tensor, s: float) -> Tensor:
@@ -279,27 +256,6 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
 
     # ndarray.mean's values: the sum divided by the count
     return _make(np.add.reduce(a.data, axis=axes) / count, "mean", [a], bw)
-
-
-def reduce_max(a: Tensor, axes=None) -> Tensor:
-    """Max over ``axes``; ties route the gradient to the first tied element
-    in row-major order."""
-    axes = _normalize_axes(axes, a.ndim)
-    shape = a.shape
-    kept = tuple(ax for ax in range(a.ndim) if ax not in axes)
-    moved = np.moveaxis(a.data, axes, range(len(kept), a.ndim))
-    kept_shape = moved.shape[:len(kept)]
-    flat = moved.reshape(kept_shape + (-1,))
-    idx = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-        gmoved = gflat.reshape(moved.shape)
-        return (np.moveaxis(gmoved, range(len(kept), a.ndim), axes),)
-
-    return _make(out, "max", [a], bw)
 
 
 # ---------------------------------------------------------------------------

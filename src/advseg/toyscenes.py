@@ -279,15 +279,29 @@ def save_dataset(ds: Dataset, directory) -> None:
 
 
 def load_dataset(directory) -> Dataset:
+    """The dataset that ``save_dataset`` wrote to ``directory``; a malformed
+    ``meta.cfg`` or manifest line, or a sample file that does not parse,
+    raises ValueError."""
     directory = Path(directory)
     meta = {}
     for line in (directory / "meta.cfg").read_text().splitlines():
         key, _, value = line.partition("=")
         meta[key.strip()] = int(value.strip())
+    missing = {"height", "width", "num_classes", "seed"} - set(meta)
+    if missing:
+        raise ValueError(f"meta.cfg does not set {', '.join(sorted(missing))}")
     spec = SceneSpec(height=meta["height"], width=meta["width"],
                      num_classes=meta["num_classes"], seed=meta["seed"])
     ds = Dataset(spec)
     for line in (directory / "manifest.txt").read_text().splitlines():
-        split, sample_id = line.split()
-        ds.split(split).append(load_sample(directory, sample_id, spec.num_classes))
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2 or fields[0] not in ("train", "val", "test"):
+            raise ValueError(f"manifest line {line!r} is not '<train|val|test> <id>'")
+        split, sample_id = fields
+        try:
+            ds.split(split).append(load_sample(directory, sample_id, spec.num_classes))
+        except ValueError as e:
+            raise ValueError(f"sample {sample_id}: {e}") from None
     return ds

@@ -1,12 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here is deliberately naive (scalar loops, exhaustive search) and
-shares no code with the implementation paths it checks.
+Everything above the last section is deliberately naive (scalar loops,
+exhaustive search) or built on a library the package does not use, and
+shares no code with the implementation paths it checks. The last section
+holds helpers that only tests need, built from the package's own pieces.
 """
 
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+from advseg.losses import ObjectiveConfig, bce_loss, mce_loss
+from advseg.metrics import boundary_mask
+from advseg.networks import NetSpec, rf_geometry
+from advseg.tensor import Tensor, mul
 
 
 def conv2d_naive(x, kernel, bias, stride=1, dilation=1, padding=0):
@@ -160,6 +168,31 @@ def bf_match_fraction_naive(points, targets, tol):
     return hits / len(points)
 
 
+def bf_match_fraction_kdtree(points, targets, tol):
+    """``bf_match_fraction_naive`` through a k-d tree: each point's nearest
+    target, found by ``scipy.spatial.cKDTree``, is a hit when its integer
+    squared distance is at most tol * tol, the same exact test."""
+    if not points or not targets:
+        return 0.0
+    pts = np.asarray(points, dtype=np.int64)
+    tgs = np.asarray(targets, dtype=np.int64)
+    _, nearest = cKDTree(tgs).query(pts)
+    d = pts - tgs[nearest]
+    hits = np.count_nonzero((d * d).sum(axis=1) <= tol * tol)
+    return int(hits) / len(points)
+
+
+def bf_precision_recall(pred_points, gt_points, tol, naive=False):
+    """(precision, recall) of boundary matching from the k-d tree oracle;
+    with ``naive``, the scalar-loop oracle must give the same two floats."""
+    p = bf_match_fraction_kdtree(pred_points, gt_points, tol)
+    r = bf_match_fraction_kdtree(gt_points, pred_points, tol)
+    if naive:
+        assert (bf_match_fraction_naive(pred_points, gt_points, tol),
+                bf_match_fraction_naive(gt_points, pred_points, tol)) == (p, r)
+    return p, r
+
+
 def kl_divergence(p, q):
     total = 0.0
     for pi, qi in zip(p, q):
@@ -198,3 +231,37 @@ def min_kl_given_floor(s, true_class, tau):
             best = float(res.fun)
     assert best is not None, "oracle optimizer failed on every start"
     return best
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers over the package's own pieces
+
+
+def hybrid_loss(seg_out: Tensor, target_onehot, mask,
+                adv_on_gt: Tensor, adv_on_pred: Tensor,
+                cfg: ObjectiveConfig) -> Tensor:
+    """The combined two-player loss (training uses the two split
+    objectives): sum_n mce - lam * [bce(a_gt, 1) + bce(a_pred, 0)]."""
+    loss = mce_loss(seg_out, target_onehot, mask)
+    if cfg.lam == 0.0:
+        return loss
+    bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
+    return loss - mul(bracket, cfg.lam)
+
+
+def affected_outputs(spec: NetSpec, pixel: int, out_extent: int) -> tuple[int, int]:
+    """Inclusive output-index range [a, b] whose window covers an input
+    pixel along one axis; the analytic prediction the perturbation oracle
+    checks against."""
+    jump, lo, hi = rf_geometry(spec)
+    first = -(-(pixel - hi) // jump)  # ceil div
+    last = (pixel - lo) // jump
+    return max(first, 0), min(last, out_extent - 1)
+
+
+def boundary_points(labels: np.ndarray, cls: int) -> np.ndarray:
+    """(K, 2) integer coordinates of class-``cls`` boundary pixels in
+    row-major order. VOID neighbors never create boundary points; the image
+    border always does."""
+    labels = np.asarray(labels)
+    return np.argwhere(boundary_mask(labels) & (labels == cls)).astype(np.int64)

@@ -150,7 +150,7 @@ def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
     assert len(passes) == 1
     spec = cli.N.build_segmenter(3, channels_base=4, n_context_layers=1)
     params = cli.N.load_params(run_dir / "segmenter.ckpt")
-    for sample in cli._load_dataset(str(data_dir)).val[:2]:
+    for sample in cli.D.load_dataset(data_dir).val[:2]:
         probs = cli.N.forward(spec, params, Tensor(sample.image[None]))
         assert probs.node is not None
         for c in range(3):
@@ -313,9 +313,9 @@ def test_gradcheck_cli_unknown_op_kind_exits_1_without_a_table(capsys, name):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot corrupt {name!r}: ") and err.count("\n") == 1
-    # the accepted names are the 19 op kinds the cases record
+    # the accepted names are the 16 op kinds the cases record
     kinds = err.split("the op kinds ")[1].strip().split(", ")
-    assert len(kinds) == 19 and kinds == sorted(kinds)
+    assert len(kinds) == 16 and kinds == sorted(kinds)
     assert kinds[0] == "add" and kinds[-1] == "sum"
     assert {"mul", "conv2d", "maxpool2", "max_with_scalar"} <= set(kinds)
 
@@ -525,3 +525,116 @@ def test_corrupt_checkpoint_exits_3_before_writing(tmp_path, capsys, data_dir,
     assert err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def _truncate_train_labels(data):
+    _truncate(data / "scene_00000.pgm")
+
+
+def _truncate_val_image(data):
+    _truncate(data / "scene_00004.ppm")
+
+
+def _bogus_manifest_line(data):
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "bogus\n")
+
+
+def _non_integer_meta(data):
+    meta = data / "meta.cfg"
+    meta.write_text(meta.read_text().replace("height = 16", "height = x"))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate_train_labels, "truncated netpbm payload"),
+    (_truncate_val_image, "truncated netpbm payload"),
+    (_bogus_manifest_line, "manifest line 'bogus'"),
+    (_non_integer_meta, "invalid literal for int()"),
+])
+@pytest.mark.parametrize("command", ["train", "grid", "eval", "export-maps"])
+def test_corrupt_dataset_exits_3_before_writing(tmp_path, capsys, data_dir, run_dir,
+                                                command, corrupt, message):
+    data = shutil.copytree(data_dir, tmp_path / "data")
+    corrupt(data)
+    extra = {"train": [],
+             "grid": ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0"],
+             "eval": ["--ckpt", str(run_dir)],
+             "export-maps": ["--ckpt", str(run_dir)]}
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data), "--out", str(out), *SMALL_NET,
+               *extra[command])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt dataset in {data}: ")
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, data_classes, ckpt_classes", [
+    ("train", 4, None), ("grid", 4, None),
+    ("eval", 4, 3), ("export-maps", 4, 3),
+    ("eval", 3, 4), ("export-maps", 3, 4),
+])
+def test_dataset_class_count_mismatch_exits_1_before_writing(
+        tmp_path, capsys, data_dir, run_dir, run_dir_4, command, data_classes,
+        ckpt_classes):
+    # SMALL_NET trains 3 classes; run_dir_4 holds 4-class data and a
+    # 4-class checkpoint, data_dir and run_dir 3-class ones
+    data = {3: data_dir, 4: run_dir_4[0]}[data_classes]
+    if ckpt_classes is None:
+        extra = SMALL_NET + (["--slr", "0.001", "--alr", "0.05", "--lam", "0.0"]
+                             if command == "grid" else [])
+    else:
+        extra = ["--ckpt", str({3: run_dir, 4: run_dir_4[1]}[ckpt_classes])]
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data), "--out", str(out), *extra)
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    trained = ckpt_classes or 3
+    assert err == (f"error: num_classes={trained}, but the dataset in {data} "
+                   f"has num_classes={data_classes}\n")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def odd_data_dirs(tmp_path_factory):
+    """3-class datasets of 15x15 and 12x12 images."""
+    dirs = {}
+    for extent in (15, 12):
+        d = tmp_path_factory.mktemp(f"data{extent}")
+        assert run("gen-data", "--out", str(d), *SMALL_DATA,
+                   "--set", f"height={extent}", "--set", f"width={extent}") == 0
+        dirs[extent] = d
+    return dirs
+
+
+@pytest.mark.parametrize("command, extent, extra, stride", [
+    ("train", 15, [], 2),
+    ("train", 12, ["--set", "lambda=1.0"], 8),
+    ("grid", 15, ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0"], 2),
+    ("grid", 12, ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0,1.0"], 8),
+    ("eval", 15, [], 2),
+    ("export-maps", 15, [], 2),
+])
+def test_extents_the_networks_cannot_pool_exit_1_before_writing(
+        tmp_path, capsys, run_dir, odd_data_dirs, command, extent, extra, stride):
+    data = odd_data_dirs[extent]
+    if command in ("eval", "export-maps"):
+        extra = ["--ckpt", str(run_dir)]
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data), "--out", str(out), *SMALL_NET, *extra)
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {extent}x{extent} images in {data} do not "
+                          f"pool evenly: extents must be multiples of {stride}, ")
+    assert err.count("\n") == 1
+    assert ("adversary" in err) == (stride == 8)
+    assert not out.exists()
+
+
+def test_extents_the_segmenter_pools_train_at_lambda_0(tmp_path, odd_data_dirs):
+    # 12 = 2 * 6: the segmenter pools 12x12 images; only the adversary,
+    # which runs at lambda > 0 alone, cannot
+    assert run("train", "--data", str(odd_data_dirs[12]), "--out",
+               str(tmp_path / "out"), *SMALL_NET, "--set", "max_iters=2",
+               "--set", "eval_every=2") == 0

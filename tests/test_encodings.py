@@ -98,12 +98,20 @@ def test_encode_product_channel_count():
     assert encode_product(img, prob, np.ones((4, 4))).shape == (1, 6, 4, 4)
 
 
-def test_encode_product_downsamples_image():
+def test_encode_product_requires_the_image_at_map_resolution():
+    prob = Tensor(np.ones((1, 1, 4, 4)))
+    for shape in ((1, 3, 8, 8), (3, 4, 4), (2, 3, 4, 4), (1, 1, 4, 4)):
+        with pytest.raises(ShapeError):
+            encode_product(np.zeros(shape), prob, np.ones((4, 4)))
+
+
+def test_build_adv_pair_downsamples_image_for_product():
     img = np.zeros((1, 3, 8, 8))
     img[0, :, 0, 0] = (0.3, 0.6, 0.9)
     prob = Tensor(np.ones((1, 1, 4, 4)))
-    out = encode_product(img, prob, np.ones((4, 4))).data
-    np.testing.assert_allclose(out[0, :, 0, 0], [0.3, 0.6, 0.9])
+    labels = np.zeros((1, 4, 4), dtype=int)
+    _, pred = build_adv_pair(img, labels, prob, EncodingKind("product"))
+    np.testing.assert_allclose(pred.channels.data[0, :, 0, 0], [0.3, 0.6, 0.9])
 
 
 def test_encode_product_linear_in_prob():

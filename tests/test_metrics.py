@@ -9,7 +9,6 @@ from advseg.labelmap import VOID
 from advseg.metrics import (
     BFConfig,
     bf_score,
-    boundary_points,
     confusion,
     evaluate_predictions,
     evaluate_split,
@@ -22,7 +21,13 @@ from advseg.networks import build_segmenter, forward, init_params, receptive_fie
 from advseg.tensor import Tensor
 from advseg.toyscenes import SceneSpec, make_dataset
 
-from oracles import bf_match_fraction_naive, boundary_points_naive, confusion_naive
+from oracles import (
+    bf_match_fraction_naive,
+    bf_precision_recall,
+    boundary_points,
+    boundary_points_naive,
+    confusion_naive,
+)
 
 
 def test_confusion_perfect_prediction():
@@ -55,6 +60,14 @@ def test_confusion_shape_mismatch():
 def test_confusion_rejects_void_predictions():
     with pytest.raises(ValueError):
         confusion(np.full((2, 2), VOID), np.zeros((2, 2), dtype=int), 2)
+
+
+def test_confusion_rejects_ground_truth_outside_the_classes():
+    gt = np.array([[0, VOID], [2, 3]])
+    pred = np.zeros((2, 2), dtype=int)
+    assert confusion(pred, gt, 4).sum() == 3
+    with pytest.raises(ValueError, match="label 3 out of range for 3 classes"):
+        confusion(pred, gt, 3)
 
 
 def test_confusion_matches_naive_oracle():
@@ -153,7 +166,8 @@ def test_bf_config_exact_at_smallest_diagonal():
     cfg = BFConfig(smallest_diagonal=d)
     assert cfg.tolerance(d) == 5.0
     assert cfg.tolerance(2 * d) == 10.0
-    assert abs(cfg.theta - 5.0 / d) < 1e-15
+    theta = cfg.reference_tolerance_px / cfg.smallest_diagonal
+    assert abs(theta - 5.0 / d) < 1e-15
 
 
 def test_bf_identical_maps_score_one():
@@ -215,7 +229,7 @@ def test_bf_huge_tolerance_scores_one():
 
 def test_bf_matches_naive_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(100):
+    for i in range(100):
         h, w = rng.integers(4, 33, size=2)
         c = int(rng.integers(2, 4))
         gt = rng.integers(0, c, size=(h, w))
@@ -230,8 +244,8 @@ def test_bf_matches_naive_oracle():
             if not pb and not gb:
                 assert cls not in got
                 continue
-            p = bf_match_fraction_naive(pb, gb, tol)
-            r = bf_match_fraction_naive(gb, pb, tol)
+            # the O(n^2) scalar loop on every tenth map
+            p, r = bf_precision_recall(pb, gb, tol, naive=i % 10 == 0)
             f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
             assert got[cls][0] == p
             assert got[cls][1] == r

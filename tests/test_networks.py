@@ -4,7 +4,6 @@ import pytest
 from advseg.networks import (
     LayerSpec,
     NetSpec,
-    affected_outputs,
     build_adversary,
     build_segmenter,
     conv,
@@ -18,6 +17,8 @@ from advseg.networks import (
     save_params,
 )
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
+
+from oracles import affected_outputs
 
 
 def _constant_positive_params(spec, seed=0):

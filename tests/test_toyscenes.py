@@ -183,6 +183,15 @@ def test_dataset_roundtrip_and_manifest(tmp_path):
     np.testing.assert_array_equal(back.val[0].labels, ds.val[0].labels)
 
 
+@pytest.mark.parametrize("line", ["bogus", "tset scene_00000", "train a b"])
+def test_load_dataset_rejects_a_malformed_manifest_line(tmp_path, line):
+    save_dataset(make_dataset(SceneSpec(seed=10, height=16, width=16), 1, 1), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(ValueError, match="manifest line"):
+        load_dataset(tmp_path)
+
+
 def test_dataset_save_rerun_identical_bytes(tmp_path):
     spec = SceneSpec(seed=11, height=16, width=16)
     d1, d2 = tmp_path / "a", tmp_path / "b"
