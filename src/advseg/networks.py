@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .tensor import ShapeError, Tensor, concat_channels, tensor_from_bytes, tensor_to_bytes
+from .tensor import ShapeError, Tensor, concat_channels
 
 
 @dataclass(frozen=True)
@@ -301,60 +301,59 @@ def detach_params(params: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# persistence: a text index in front of concatenated "ADVT" tensor blobs
+# persistence. A checkpoint is the line "ADVSEG-PARAMS 2", the parameter
+# count, one "name d0,d1,..." line per parameter, and then every
+# parameter's data as little-endian float64, row-major, in index order.
+
+_HEADER = b"ADVSEG-PARAMS 2"
 
 
 def save_params(params: dict, path) -> None:
-    blobs = [(name, tensor_to_bytes(t)) for name, t in params.items()]
-    head = [b"ADVSEG-PARAMS 1", str(len(blobs)).encode()]
-    off = 0
-    for name, blob in blobs:
-        head.append(f"{name} {off} {len(blob)}".encode())
-        off += len(blob)
+    index = [_HEADER.decode(), str(len(params))]
+    index += [f"{name} {','.join(map(str, t.shape))}" for name, t in params.items()]
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(head) + b"\n")
-        for _, blob in blobs:
-            fh.write(blob)
+        fh.write("\n".join(index).encode() + b"\n")
+        for t in params.values():
+            fh.write(t.data.astype("<f8").tobytes())
 
 
-def load_params(path, spec: NetSpec | None = None) -> dict:
-    """The parameters that ``save_params`` wrote to ``path``. A bad header
-    or index, blobs that do not fill the payload exactly, or (given
-    ``spec``) names and shapes other than ``param_shapes(spec)`` raise
-    ValueError, with the fault in the message."""
+def load_params(path, spec: NetSpec) -> dict:
+    """The parameters that ``save_params`` wrote to ``path``, which must be
+    exactly those of ``param_shapes(spec)``. A bad header or index, other
+    names or shapes, or a payload of another length raise ValueError, with
+    the fault in the message."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    magic, _, rest = raw.partition(b"\n")
-    if magic != b"ADVSEG-PARAMS 1":
-        raise ValueError("bad checkpoint header")
+    header, _, rest = raw.partition(b"\n")
+    if header != _HEADER:
+        raise ValueError(f"bad checkpoint header {header[:40].decode(errors='replace')!r}"
+                         f", expected {_HEADER.decode()!r}")
     count, _, rest = rest.partition(b"\n")
     if not count.isdigit():
-        raise ValueError("bad checkpoint index")
+        raise ValueError("bad checkpoint index count")
     *lines, payload = rest.split(b"\n", int(count))
     if len(lines) != int(count):
         raise ValueError("checkpoint index is truncated")
-    params, end = {}, 0
-    for line in lines:
-        fields = line.decode(errors="replace").rsplit(" ", 2)
-        if len(fields) != 3 or not (fields[1].isdigit() and fields[2].isdigit()):
-            raise ValueError(f"bad checkpoint index line {line[:60]!r}")
-        name, off, length = fields[0], int(fields[1]), int(fields[2])
-        if name in params or off != end:
-            raise ValueError(f"checkpoint index entry {name!r} out of sequence")
-        end = off + length
-        if end > len(payload):
-            break
-        params[name] = tensor_from_bytes(payload[off:end])
-        params[name].requires_grad = True
-    if end != len(payload):
+    shapes = {}
+    for i, line in enumerate(lines, 1):
+        name, _, dims = line.partition(b" ")
+        dims = dims.split(b",")
+        if not (name and all(d.isdigit() for d in dims)):
+            raise ValueError(f"bad checkpoint index line {i}: {line[:60]!r}")
+        name = name.decode(errors="replace")
+        if name in shapes:
+            raise ValueError(f"checkpoint index names {name!r} twice")
+        shapes[name] = tuple(map(int, dims))
+    want = param_shapes(spec)
+    for name in {**want, **shapes}:
+        if want.get(name) != shapes.get(name):
+            raise ValueError(
+                f"{name}: shape {shapes.get(name, 'missing')} in the checkpoint, "
+                f"{want.get(name, 'none')} in the {spec.role}")
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    if len(payload) != 8 * sum(sizes):
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
-                         f"its index says {end}")
-    if spec is not None:
-        want = param_shapes(spec)
-        got = {name: t.shape for name, t in params.items()}
-        for name in {**want, **got}:
-            if want.get(name) != got.get(name):
-                raise ValueError(
-                    f"{name}: shape {got.get(name, 'missing')} in the checkpoint, "
-                    f"{want.get(name, 'none')} in the {spec.role}")
-    return params
+                         f"its index says {8 * sum(sizes)}")
+    data = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return {name: Tensor(chunk.reshape(shape), requires_grad=True)
+            for (name, shape), chunk in zip(shapes.items(), data)}

@@ -17,8 +17,6 @@ back to the kernel and coming back as zero-filled page faults. Memory from
 from __future__ import annotations
 
 import ctypes
-import math
-import struct
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -431,36 +429,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-# ---------------------------------------------------------------------------
-# serialization: magic "ADVT", version byte, rank + extents as u32 LE,
-# data as little-endian float64, row-major.
-
-_MAGIC = b"ADVT"
-_VERSION = 1
-
-
-def tensor_to_bytes(t: Tensor) -> bytes:
-    head = _MAGIC + bytes([_VERSION]) + struct.pack("<I", t.ndim)
-    head += struct.pack(f"<{t.ndim}I", *t.shape)
-    return head + t.data.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(buf: bytes) -> Tensor:
-    if buf[:4] != _MAGIC:
-        raise ValueError("bad tensor magic")
-    if len(buf) < 9:
-        raise ValueError("tensor header is truncated")
-    if buf[4] != _VERSION:
-        raise ValueError(f"unsupported tensor version {buf[4]}")
-    rank = struct.unpack_from("<I", buf, 5)[0]
-    off = 9 + 4 * rank
-    if len(buf) < off:
-        raise ValueError("tensor header is truncated")
-    shape = struct.unpack_from(f"<{rank}I", buf, 9)
-    n = math.prod(shape)
-    if len(buf) != off + 8 * n:
-        raise ValueError("tensor payload length mismatch")
-    data = np.frombuffer(buf, dtype="<f8", count=n, offset=off)
-    return Tensor(data.reshape(shape).astype(np.float64))

@@ -60,6 +60,13 @@ class SceneSpec:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        if min(self.height, self.width) < 5:  # the smallest that fits a circle
+            raise ValueError(f"height and width must be at least 5, got "
+                             f"{self.height}x{self.width}")
+        for key in ("noise_sigma", "texture_amp"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be >= 0 and finite, "
+                                 f"got {getattr(self, key)}")
         self.colors()  # a class count the palette cannot separate raises here
 
     def colors(self) -> tuple:

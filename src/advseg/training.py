@@ -54,8 +54,11 @@ class TrainConfig:
     pretrain_adversary_iters: int = 0
 
     def __post_init__(self):
-        if self.slr <= 0 or self.alr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.slr < math.inf and 0 < self.alr < math.inf):
+            raise ValueError(f"learning rates must be positive and finite, got "
+                             f"slr={self.slr}, alr={self.alr}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam}")
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
         if self.scheme not in ("fast", "slow"):

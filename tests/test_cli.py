@@ -149,7 +149,7 @@ def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
                "--out", str(out), *SMALL_NET, "--set", "export_count=2") == 0
     assert len(passes) == 1
     spec = cli.N.build_segmenter(3, channels_base=4, n_context_layers=1)
-    params = cli.N.load_params(run_dir / "segmenter.ckpt")
+    params = cli.N.load_params(run_dir / "segmenter.ckpt", spec)
     for sample in cli.D.load_dataset(data_dir).val[:2]:
         probs = cli.N.forward(spec, params, Tensor(sample.image[None]))
         assert probs.node is not None
@@ -441,6 +441,24 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("eval", ["--set", "channels_base=0"]),
     ("gen-data", ["--set", "num_classes=5"]),
     ("gen-data", ["--set", "num_classes=0"]),
+    ("train", ["--set", "lambda=-1"]),
+    ("train", ["--set", "lambda=nan"]),
+    ("train", ["--set", "lambda=inf"]),
+    ("train", ["--set", "slr=nan", "--set", "max_iters=2"]),
+    ("train", ["--set", "alr=nan", "--set", "max_iters=4"]),
+    ("grid", ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0,-1"]),
+    ("grid", ["--slr", "0.001", "--alr", "0.05", "--lam", "nan"]),
+    ("grid", ["--slr", "0.001", "--alr", "0.05", "--lam", "inf"]),
+    ("grid", ["--slr", "nan", "--alr", "0.05", "--lam", "0.0"]),
+    ("grid", ["--slr", "0.001", "--alr", "nan", "--lam", "0.0"]),
+    ("gen-data", ["--set", "height=4"]),
+    ("gen-data", ["--set", "height=0"]),
+    ("gen-data", ["--set", "width=4"]),
+    ("gen-data", ["--set", "noise_sigma=-1"]),
+    ("gen-data", ["--set", "noise_sigma=nan"]),
+    ("gen-data", ["--set", "texture_amp=inf"]),
+    ("gen-data", ["--set", "texture_amp=-0.1"]),
+    ("gen-data", ["--set", "texture_amp=nan"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):
@@ -524,6 +542,22 @@ def test_corrupt_checkpoint_exits_3_before_writing(tmp_path, capsys, data_dir,
     assert err.startswith(f"error: corrupt checkpoint {ckpt / 'segmenter.ckpt'}: ")
     assert err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+def test_format_1_checkpoint_exits_3_naming_its_header(tmp_path, capsys, data_dir,
+                                                       run_dir):
+    # checkpoints written before format 2 are not read: the error names the
+    # header that was found
+    ckpt = shutil.copytree(run_dir, tmp_path / "ckpt")
+    path = ckpt / "segmenter.ckpt"
+    path.write_bytes(path.read_bytes().replace(b"ADVSEG-PARAMS 2", b"ADVSEG-PARAMS 1", 1))
+    out = tmp_path / "out"
+    code = run("eval", "--data", str(data_dir), "--ckpt", str(ckpt), "--out", str(out))
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == (f"error: corrupt checkpoint {path}: bad checkpoint header "
+                   "'ADVSEG-PARAMS 1', expected 'ADVSEG-PARAMS 2'\n")
     assert not out.exists()
 
 

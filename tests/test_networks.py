@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advseg.networks import (
     LayerSpec,
@@ -212,16 +214,37 @@ def test_end_to_end_grad_check_small_instance():
         assert grad_check(f, seg_params[name]) < 1e-4, name
 
 
-def test_params_roundtrip(tmp_path):
-    spec = build_adversary(3, "large", "light", two_branch=True)
-    params = init_params(spec, 13)
-    path = tmp_path / "ckpt.advt"
+_SPECS = st.one_of(
+    st.builds(build_segmenter, st.integers(2, 5), channels_base=st.integers(1, 6),
+              n_context_layers=st.integers(0, 3)),
+    st.builds(build_adversary, st.integers(1, 6), st.sampled_from(["large", "small"]),
+              st.sampled_from(["full", "light"]), st.booleans()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECS, seed=st.integers(0, 2**32 - 1))
+def test_params_roundtrip(tmp_path_factory, spec, seed):
+    params = init_params(spec, seed)
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt"
     save_params(params, path)
-    back = load_params(path)
+    back = load_params(path, spec)
     assert list(back.keys()) == list(params.keys())
     for name in params:
+        assert back[name].shape == params[name].shape
         assert back[name].data.tobytes() == params[name].data.tobytes()
         assert back[name].requires_grad
+
+
+def test_checkpoint_layout(tmp_path):
+    spec = build_segmenter(2, channels_base=2, n_context_layers=1)
+    params = init_params(spec, 0)
+    path = tmp_path / "ckpt"
+    save_params(params, path)
+    index = b"".join(f"{name} {','.join(map(str, shape))}\n".encode()
+                     for name, shape in param_shapes(spec).items())
+    payload = b"".join(t.data.astype("<f8").tobytes() for t in params.values())
+    assert path.read_bytes() == b"ADVSEG-PARAMS 2\n8\n" + index + payload
 
 
 def test_load_params_rejects_every_truncation(tmp_path):
@@ -233,14 +256,15 @@ def test_load_params_rejects_every_truncation(tmp_path):
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError):
-            load_params(path)
+            load_params(path, spec)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda raw: raw.replace(b"ADVSEG-PARAMS 1", b"ADVSEG-PARAMS 2", 1), "header"),
+    (lambda raw: raw.replace(b"ADVSEG-PARAMS 2", b"ADVSEG-PARAMS 1", 1), "header"),
     (lambda raw: raw.replace(b"\n8\n", b"\nx\n", 1), "index"),
-    (lambda raw: raw.replace(b"\n8\n", b"\n9\n", 1), "magic"),
-    (lambda raw: raw.replace(b"L0.bias ", b"L0.bias x", 1), "index line"),
+    (lambda raw: raw.replace(b"\n8\n", b"\n9\n", 1), "index line 9"),
+    (lambda raw: raw.replace(b"L0.bias 2", b"L0.bias 2,x", 1), "index line"),
+    (lambda raw: raw.replace(b"L7.bias ", b"L0.bias ", 1), "twice"),
     (lambda raw: raw + b"\0", "payload"),
 ])
 def test_load_params_rejects_corrupt_files(tmp_path, edit, message):
@@ -249,7 +273,7 @@ def test_load_params_rejects_corrupt_files(tmp_path, edit, message):
     save_params(init_params(spec, 0), path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
-        load_params(path)
+        load_params(path, spec)
 
 
 def test_load_params_checks_shapes_against_spec(tmp_path):
@@ -257,13 +281,25 @@ def test_load_params_checks_shapes_against_spec(tmp_path):
     path = tmp_path / "ckpt"
     save_params(init_params(build_segmenter(3, channels_base=2, n_context_layers=1), 0),
                 path)
-    load_params(path)
     with pytest.raises(ValueError, match=r"L7.kernel: shape \(3, 2, 1, 1\)"):
         load_params(path, spec)
     params = init_params(spec, 0)
     del params["L7.bias"]
     save_params(params, path)
     with pytest.raises(ValueError, match="L7.bias: shape missing"):
+        load_params(path, spec)
+
+
+def test_load_params_rejects_a_reshaped_tensor_of_the_same_size(tmp_path):
+    # the payload length alone cannot tell (2, 2, 1, 1) from (4, 1, 1, 1):
+    # the index's shapes do
+    spec = build_segmenter(2, channels_base=2, n_context_layers=1)
+    params = init_params(spec, 0)
+    params["L7.kernel"] = Tensor(params["L7.kernel"].data.reshape(4, 1, 1, 1))
+    path = tmp_path / "ckpt"
+    save_params(params, path)
+    with pytest.raises(ValueError, match=r"L7.kernel: shape \(4, 1, 1, 1\) in the "
+                                         r"checkpoint, \(2, 2, 1, 1\) in the segmenter"):
         load_params(path, spec)
 
 

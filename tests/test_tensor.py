@@ -23,8 +23,6 @@ from advseg.tensor import (
     slice_batch,
     slice_channels,
     sub,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
 
 
@@ -261,34 +259,3 @@ def test_determinism_bit_identical():
     v2, g2 = run()
     assert v1.tobytes() == v2.tobytes()
     assert g1.tobytes() == g2.tobytes()
-
-
-def test_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    for shape in [(), (3,), (2, 3, 4)]:
-        t = Tensor(rng.normal(size=shape))
-        back = tensor_from_bytes(tensor_to_bytes(t))
-        assert back.shape == t.shape
-        assert back.data.tobytes() == t.data.tobytes()
-    p = tmp_path / "t.advt"
-    t = Tensor(rng.normal(size=(5, 2)))
-    p.write_bytes(tensor_to_bytes(t))
-    np.testing.assert_array_equal(tensor_from_bytes(p.read_bytes()).data, t.data)
-
-
-def test_serialization_header_layout():
-    buf = tensor_to_bytes(Tensor(np.zeros((2, 3))))
-    assert buf[:4] == b"ADVT"
-    assert buf[4] == 1
-    assert int.from_bytes(buf[5:9], "little") == 2
-    assert int.from_bytes(buf[9:13], "little") == 2
-    assert int.from_bytes(buf[13:17], "little") == 3
-    assert len(buf) == 17 + 6 * 8
-
-
-def test_serialization_rejects_garbage():
-    with pytest.raises(ValueError):
-        tensor_from_bytes(b"NOPE" + bytes(20))
-    good = tensor_to_bytes(Tensor([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        tensor_from_bytes(good + b"x")

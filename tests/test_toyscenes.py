@@ -90,6 +90,27 @@ def test_scene_spec_rejects_class_counts_it_cannot_draw():
     assert SceneSpec(num_classes=5, base_colors=colors).colors() == colors
 
 
+@pytest.mark.parametrize("bad", [
+    dict(height=4), dict(height=0), dict(width=4),
+    dict(noise_sigma=-1.0), dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    dict(texture_amp=-0.1), dict(texture_amp=float("nan")),
+    dict(texture_amp=float("inf")),
+])
+def test_scene_spec_rejects_values_it_cannot_draw(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SceneSpec(**bad)
+
+
+def test_smallest_extents_draw_every_scene():
+    # 5 is the smallest extent at which generate_scene places a circle
+    for extent in (5, 6, 7):
+        spec = SceneSpec(height=extent, width=extent, seed=extent)
+        for index in range(20):
+            sample = generate_scene(spec, index)
+            assert np.all(np.isfinite(sample.image))
+
+
 def test_make_dataset_splits():
     spec = SceneSpec(seed=5, height=16, width=16)
     ds = make_dataset(spec, 4, 2, 3)

@@ -436,7 +436,10 @@ def test_config_validation():
                 dict(num_classes=1), dict(channels_base=0),
                 dict(n_context_layers=-1),
                 dict(encoding=EncodingKind("scaling", tau=0.25)),
-                dict(num_classes=3, encoding=EncodingKind("scaling", tau=0.3))):
+                dict(num_classes=3, encoding=EncodingKind("scaling", tau=0.3)),
+                dict(lam=-1.0), dict(lam=float("nan")), dict(lam=float("inf")),
+                dict(slr=float("nan")), dict(alr=float("nan")),
+                dict(slr=float("inf")), dict(alr=float("inf"))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(max_iters=0, lcn_window=3)
