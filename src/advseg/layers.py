@@ -16,8 +16,9 @@ columns, from the output gradient zero-dilated by the stride and padded by
 the effective kernel extent (Dumoulin & Visin, "A guide to convolution
 arithmetic", arXiv 1603.07285). Against the flipped, transposed kernel they
 give the input gradient; against the input, summed over bands and flipped
-back, the kernel gradient. The graph keeps no columns. Backward computes
-only the gradients whose operands required one when the op was built.
+back, the kernel gradient. The graph keeps no columns, and the input only
+when the kernel gradient is needed. Backward computes only the gradients
+whose operands required one when the op was built.
 
 Max pooling reads the four strided views ``x[:, :, i::2, j::2]`` of its
 input, one per window position, and copies nothing: the forward pass is an
@@ -171,12 +172,14 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             f"conv2d: non-positive output extent ({hout}x{wout}) for input "
             f"{h}x{w}, kernel {kh}x{kw}, stride {st}, dilation {dil}, padding {pad}")
 
-    xd, kd = x.data, p.kernel.data
+    kd = p.kernel.data
     padded = (1, pad, pad, h + 2 * pad, w + 2 * pad)
-    out = _correlate(xd, padded, kh, kw, st, dil, kernel=kd.reshape(cout, -1))[0]
+    out = _correlate(x.data, padded, kh, kw, st, dil, kernel=kd.reshape(cout, -1))[0]
     out += p.bias.data.reshape(1, cout, 1, 1)
     need_x, need_k, need_b = (x.requires_grad, p.kernel.requires_grad,
                               p.bias.requires_grad)
+    # the rule reads the input only for the kernel gradient
+    xd = x.data if need_k else None
 
     def bw(g):
         gx = gk = gb = None
@@ -191,8 +194,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             # exactly zero
             flipped = (kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
                        if need_x else None)
-            gx, acc = _correlate(g, spread, kh, kw, 1, dil, kernel=flipped,
-                                 other=xd if need_k else None)
+            gx, acc = _correlate(g, spread, kh, kw, 1, dil, kernel=flipped, other=xd)
             if need_k:
                 # the same columns against the input, flipped back
                 gk = np.ascontiguousarray(acc.reshape(cout, kh, kw, cin)

@@ -6,12 +6,18 @@ produced. Calling :func:`backward` on a scalar tensor accumulates gradients
 into every ``requires_grad`` leaf reachable from it. There is no implicit
 broadcasting between tensors; the only mixed form allowed is tensor-vs-scalar.
 
-A training turn allocates every activation and gradient afresh and frees
-them all when it ends. On glibc, importing this module raises the malloc
-trim and mmap thresholds once (:func:`_keep_freed_heap`), so that freed
-arrays stay in the process heap for the next turn to reuse instead of going
-back to the kernel and coming back as zero-filled page faults. Memory from
-``np.empty`` may therefore hold stale values, as the C standard allows.
+The graph links op outputs through their nodes, not their tensors: an op
+output's array lives only while user code or a backward rule holds it, and
+each rule keeps only the arrays it reads. :func:`backward` drops every
+node's rule and input links once the rule has run, so activations are freed
+as the pass moves toward the leaves, and a graph is differentiated once.
+
+A training turn allocates every activation and gradient afresh. On glibc,
+importing this module raises the malloc trim and mmap thresholds once
+(:func:`_keep_freed_heap`), so that freed arrays stay in the process heap
+for the next turn to reuse instead of going back to the kernel and coming
+back as zero-filled page faults. Memory from ``np.empty`` may therefore
+hold stale values, as the C standard allows.
 """
 
 from __future__ import annotations
@@ -56,19 +62,31 @@ class GraphError(RuntimeError):
 class GraphNode:
     """Record of the operation that produced a tensor.
 
+    ``inputs`` holds, per operand, the operand's own node if an op produced
+    it and the tensor itself otherwise (a leaf or a constant), so the graph
+    keeps no op output's array alive. A node stands for its output in the
+    graph: its ``node`` is itself and its ``requires_grad`` is True.
+
     ``backward_fn`` maps the output gradient to a tuple of input gradients
     (``None`` for inputs that do not require grad); any values the rule needs
     are captured in its closure. :func:`backward` looks ``op_kind`` up in
-    the override map that :func:`overridden_backward` sets.
+    the override map that :func:`overridden_backward` sets, and sets
+    ``backward_fn`` to ``None`` and ``inputs`` to ``()`` once the rule has
+    run: the node is then consumed.
     """
 
     __slots__ = ("op_kind", "inputs", "backward_fn")
+    requires_grad = True
 
     def __init__(self, op_kind: str, inputs: Sequence["Tensor"],
                  backward_fn: Callable[[np.ndarray], tuple]):
         self.op_kind = op_kind
-        self.inputs = list(inputs)
+        self.inputs = [t if t.node is None else t.node for t in inputs]
         self.backward_fn = backward_fn
+
+    @property
+    def node(self) -> "GraphNode":
+        return self
 
 
 class Tensor:
@@ -166,16 +184,25 @@ def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         _check_same_shape(a, b, "sub")
         out = a.data - b.data
-        return _make(out, "sub", [a, b], lambda g: (g, -g))
+        need_a, need_b = a.requires_grad, b.requires_grad
+        return _make(out, "sub", [a, b], lambda g: (g if need_a else None,
+                                                    -g if need_b else None))
     s = float(b)
     return _make(a.data - s, "sub", [a], lambda g: (g,))
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product with a tensor or a scalar. Backward computes, and
+    keeps the factor for, only the gradients of operands that required one
+    when the op was built, and returns ``None`` for the others."""
     if isinstance(b, Tensor):
         _check_same_shape(a, b, "mul")
-        ad, bd = a.data, b.data
-        return _make(ad * bd, "mul", [a, b], lambda g: (g * bd, g * ad))
+        # each operand's gradient is g times the other operand
+        for_a = b.data if a.requires_grad else None
+        for_b = a.data if b.requires_grad else None
+        return _make(a.data * b.data, "mul", [a, b], lambda g: (
+            None if for_a is None else g * for_a,
+            None if for_b is None else g * for_b))
     s = float(b)
     return _make(a.data * s, "mul", [a], lambda g: (g * s,))
 
@@ -337,12 +364,14 @@ def overridden_backward(op_kind: str, transform: Callable[[tuple], tuple] | None
         _GRAD_OVERRIDES.update(saved)
 
 
-def graph_order(root: Tensor) -> list[Tensor]:
-    """``root`` and the tensors it reaches through inputs that require grad,
-    each after its inputs."""
-    topo: list[Tensor] = []
+def graph_order(root: Tensor) -> list:
+    """``root``'s node (``root`` itself if it has none) and the nodes and
+    leaves it reaches through inputs that require grad, each after its
+    inputs. Every entry answers ``node``: a node with itself, a leaf with
+    ``None``."""
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root if root.node is None else root.node, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -352,8 +381,8 @@ def graph_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(t))
         stack.append((t, True))
-        if t.node is not None:
-            for inp in t.node.inputs:
+        if type(t) is GraphNode:
+            for inp in t.inputs:
                 if inp.requires_grad and id(inp) not in seen:
                     stack.append((inp, False))
     return topo
@@ -362,26 +391,38 @@ def graph_order(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every requires_grad leaf below root.
 
-    ``root`` must be scalar (shape product 1). Repeated calls keep
-    accumulating until leaves' grads are reset.
+    ``root`` must be scalar (shape product 1). Each node's rule and input
+    links are dropped once the rule has run, so the arrays the rules keep are
+    freed as the pass goes and the graph is consumed: a second call on it, or
+    on a new graph that reaches one of its nodes, raises :class:`GraphError`.
+    Calls on new graphs accumulate into leaf gradients until they are reset.
     """
     if root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         return
-    flows: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for t in reversed(graph_order(root)):
+    order = graph_order(root)
+    for t in order:
+        if type(t) is GraphNode and t.backward_fn is None:
+            raise GraphError(f"backward: the graph reaches a {t.op_kind} node "
+                             f"that an earlier backward consumed; build it again")
+    flows: dict[int, np.ndarray] = {id(order[-1]): np.ones_like(root.data)}
+    while order:
+        t = order.pop()
         g = flows.pop(id(t), None)
-        if g is None:
+        if type(t) is not GraphNode:  # a leaf
+            if g is not None:
+                t.grad = g if t.grad is None else t.grad + g
             continue
-        if t.node is None:
-            t.grad = g if t.grad is None else t.grad + g
+        inputs = t.inputs
+        in_grads = None if g is None else t.backward_fn(g)
+        t.inputs, t.backward_fn = (), None
+        if in_grads is None:
             continue
-        in_grads = t.node.backward_fn(g)
-        transform = _GRAD_OVERRIDES.get(t.node.op_kind)
+        transform = _GRAD_OVERRIDES.get(t.op_kind)
         if transform is not None:
             in_grads = transform(in_grads)
-        for inp, ig in zip(t.node.inputs, in_grads):
+        for inp, ig in zip(inputs, in_grads):
             if ig is None or not inp.requires_grad:
                 continue
             prev = flows.get(id(inp))

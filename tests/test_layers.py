@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_conv_backward_only_for_operands_that_required_grad():
             t.requires_grad = True
         grads = out.node.backward_fn(np.ones(out.shape))
         assert [gr is not None for gr in grads] == list(flags)
+
+
+def test_dropped_activations_are_freed_before_backward():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+    p = _params(rng.normal(size=(4, 3, 3, 3)), padding=1)
+    p.kernel.requires_grad = p.bias.requires_grad = True
+    frozen = _params(rng.normal(size=(2, 4, 3, 3)), padding=1)
+    pre = conv2d(x, p)
+    pre_ref = weakref.ref(pre.data)
+    act = relu(pre)
+    del pre  # relu's rule keeps a mask, not its input
+    assert pre_ref() is None
+    act_ref = weakref.ref(act.data)
+    # a constant kernel needs no gradient, so the rule keeps no input array
+    root = reduce_sum(conv2d(act, frozen))
+    del act
+    assert act_ref() is None
+    backward(root)
+    assert x.grad.shape == x.shape and p.kernel.grad.shape == p.kernel.shape
 
 
 def test_conv_consecutive_calls_leave_earlier_results_unchanged():

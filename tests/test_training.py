@@ -1,4 +1,5 @@
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,29 @@ def test_training_turns_reuse_freed_memory():
         train_iteration(state, batch, player=(SEGMENTER, ADVERSARY)[i % 2])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 25 * turns
+
+
+def test_turn_peak_memory_at_readme_config():
+    # the bounds sit between the peaks of a graph that frees each activation
+    # once no backward rule reads it (about 10 and 7 MB) and those of one
+    # that holds every activation until the turn ends (about 24 and 11 MB)
+    cfg = TrainConfig(slr=0.0003, alr=0.1, lam=1.0, scheme="slow", block_len=50,
+                      batch_size=4, encoding=EncodingKind("basic"),
+                      adversary_fov="large", adversary_capacity="full")
+    ds = make_dataset(SceneSpec(seed=0), 4, 1)
+    state = init_state(cfg)
+    batch = make_batch(ds.train, [0, 1, 2, 3], cfg, receptive_field(state.seg_spec)[2])
+    for player in (SEGMENTER, ADVERSARY):  # scratch buffers reach full size
+        train_iteration(state, batch, player=player)
+    peaks = {}
+    for player in (SEGMENTER, ADVERSARY):
+        tracemalloc.start()
+        try:
+            train_iteration(state, batch, player=player)
+            peaks[player] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert peaks[SEGMENTER] < 14.0 and peaks[ADVERSARY] < 9.0, peaks
 
 
 def test_train_run_records_and_reproducibility():
