@@ -358,18 +358,18 @@ def cmd_grid(args) -> int:
                             for values in (args.slr, args.alr, args.lam))
         for slr, alr, lam in itertools.product(slrs, alrs, lams):
             replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_FAIL)
     ds = _load_dataset(args.data, base, ("train", "val"), lams)
     out_dir = _prepare_out_dir(cfg, args.out)
     best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
-    lines = []
-    for c, r in sorted(entries, key=lambda e: (e[0].slr, e[0].alr, e[0].lam)):
-        mbf = "na" if r.best_val_mbf is None else f"{r.best_val_mbf:.6f}"
-        lines.append(f"slr={c.slr:g} alr={c.alr:g} lambda={c.lam:g} "
-                     f"status={r.status} val_miou={r.best_val_miou:.6f} val_mbf={mbf}")
+    lines = [f"slr={c.slr:g} alr={c.alr:g} lambda={c.lam:g} status={r.status} "
+             f"val_miou={M.fmt(r.best_val_miou)} val_mbf={M.fmt(r.best_val_mbf)}"
+             for c, r in sorted(entries, key=lambda e: (e[0].slr, e[0].alr, e[0].lam))]
     (out_dir / "grid.log").write_text("\n".join(lines) + "\n")
     c, r = best
     print(f"best: slr={c.slr:g} alr={c.alr:g} lambda={c.lam:g} "
-          f"val_miou={r.best_val_miou:.6f}")
+          f"val_miou={M.fmt(r.best_val_miou)}")
     return EXIT_OK
 
 

@@ -11,6 +11,9 @@ Three encodings are supported:
 
 Void positions are zeroed across all channels on both sides, which also
 kills the gradient there. Gradients flow only through the predicted side.
+``build_adv_pair`` hands each side over in the form ``networks.forward``
+takes: the channel stack, or with ``include_image`` the pair (channels,
+image) for the two-branch adversary.
 """
 
 from __future__ import annotations
@@ -43,14 +46,9 @@ class EncodingKind:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
 
-
-@dataclass
-class AdvInput:
-    """One adversary input: channel stack and optional image for the image
-    branch."""
-
-    channels: Tensor
-    image: Tensor | None = None
+    def channels(self, num_classes: int) -> int:
+        """The adversary's label-channel count: 3C for product, else C."""
+        return 3 * num_classes if self.kind == "product" else num_classes
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -68,22 +66,14 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def downsample_labels(labels: np.ndarray, stride: int) -> np.ndarray:
-    """Nearest-neighbor: keep the top-left sample of each stride block."""
-    labels = np.asarray(labels)
-    h, w = labels.shape[-2:]
+def downsample(x: np.ndarray, stride: int) -> np.ndarray:
+    """Nearest-neighbor over the last two axes (label maps and images alike):
+    keep the top-left sample of each stride block."""
+    x = np.asarray(x)
+    h, w = x.shape[-2:]
     if h % stride or w % stride:
         raise ShapeError(f"extents {h}x{w} not divisible by stride {stride}")
-    return labels[..., ::stride, ::stride]
-
-
-def downsample_image(image: np.ndarray, stride: int) -> np.ndarray:
-    """Nearest-neighbor image down-sampling by the segmenter stride."""
-    image = np.asarray(image, dtype=np.float64)
-    h, w = image.shape[-2:]
-    if h % stride or w % stride:
-        raise ShapeError(f"extents {h}x{w} not divisible by stride {stride}")
-    return image[..., ::stride, ::stride]
+    return x[..., ::stride, ::stride]
 
 
 def encode_basic(prob, mask) -> Tensor:
@@ -147,19 +137,20 @@ def encode_scaling(pred: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarr
     return out[0] if squeeze else out
 
 
-def build_adv_pair(image, labels, seg_out: Tensor,
-                   enc: EncodingKind) -> tuple[AdvInput, AdvInput]:
-    """Encode the ground-truth and predicted adversary inputs for a batch.
+def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
+    """Encode the ground-truth and predicted adversary inputs for a batch,
+    each as ``networks.forward`` takes it: the channel stack, or with
+    ``enc.include_image`` the pair (channels, image), both sides sharing
+    one image tensor.
 
-    ``labels`` must already be down-sampled to the segmenter output
-    resolution. Only the predicted side carries gradient.
+    ``labels`` (N, h, w) must already be down-sampled to the segmenter
+    output resolution; the (N, 3, H, W) ``image`` is brought to it here.
+    Only the predicted side carries gradient.
     """
     if seg_out.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) segmenter output, got {seg_out.shape}")
     n, c, h, w = seg_out.shape
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        labels = labels[None]
     if enc.kind == "scaling" and enc.tau <= 1.0 / c:
         raise ValueError(f"tau must exceed 1/C = {1.0 / c:.4f}")
     mask = void_mask(labels)
@@ -169,23 +160,18 @@ def build_adv_pair(image, labels, seg_out: Tensor,
     else:
         gt_map = one_hot(labels, c)  # VOID pixels already all-zero
 
-    img_const = None
     if enc.kind == "product" or enc.include_image:
         img = np.asarray(image, dtype=np.float64)
-        if img.ndim == 3:
-            img = img[None]
-        if img.shape[2] != h:
-            img = downsample_image(img, img.shape[2] // h)
-        img_const = img
+        img = downsample(img, img.shape[2] // h)
 
     if enc.kind == "product":
-        gt_channels = encode_product(img_const, Tensor(gt_map), mask)
-        pred_channels = encode_product(img_const, seg_out, mask)
+        gt = encode_product(img, Tensor(gt_map), mask)
+        pred = encode_product(img, seg_out, mask)
     else:
-        gt_channels = encode_basic(gt_map, mask)
-        pred_channels = encode_basic(seg_out, mask)
-
-    branch_img = Tensor(img_const) if enc.include_image else None
-    gt = AdvInput(gt_channels.detach(), branch_img)
-    pred = AdvInput(pred_channels, branch_img)
+        gt = encode_basic(gt_map, mask)
+        pred = encode_basic(seg_out, mask)
+    gt = gt.detach()
+    if enc.include_image:
+        branch = Tensor(img)
+        return (gt, branch), (pred, branch)
     return gt, pred

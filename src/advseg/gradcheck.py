@@ -203,7 +203,7 @@ def _encoding_cases():
 
         def f(t):
             _, pred = build_adv_pair(img, labels, t, enc)
-            return _sq_sum(pred.channels)
+            return _sq_sum(pred)
         return f
 
     yield "encode_basic_path", seg, through("basic")
@@ -239,7 +239,7 @@ def _adv_batch(labels, probs) -> T.Tensor:
     """The adversary's basic-encoded ground-truth and predicted maps, stacked
     along the batch axis, ground truth first; a constant."""
     gt, pred = build_adv_pair(None, labels, probs, EncodingKind("basic"))
-    return T.Tensor(np.concatenate([gt.channels.data, pred.channels.data]))
+    return T.Tensor(np.concatenate([gt.data, pred.data]))
 
 
 def _traced(spec, params, x):
@@ -275,7 +275,7 @@ def _composition_cases():
         def f(_):
             probs = N.forward(seg, params, seg_in[k], start=k)
             _, pred = build_adv_pair(None, labels, probs, basic)
-            grid = N.forward(adv, adv_fixed, pred.channels)
+            grid = N.forward(adv, adv_fixed, pred)
             return segmenter_objective(probs, target, mask, grid, cfg)
         return f
 

@@ -281,37 +281,39 @@ def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
     return evaluate_predictions(preds, [s.labels for s in samples], num_classes, cfg)
 
 
+def report_values(report: EvalReport) -> dict:
+    """The measures an evaluation reports, by name, in the order that the
+    eval summary and CSV and the ``run.log`` rows list them: the one place a
+    measure is added. ``bf_images`` counts the images that boundary F1
+    scored, so a ``mean_bf`` of ``na`` says why."""
+    return {
+        "pixel_acc": report.pixel_acc,
+        "mean_class_acc": mean_class_accuracy(report.per_class_acc),
+        "mean_iou": report.mean_iou,
+        "mean_bf": report.mean_bf,
+        "bf_std": report.bf_std_across_images,
+        "bf_images": report.n_bf_images,
+    }
+
+
+def fmt(v) -> str:
+    """How every report writes a value: ``na`` for None, six decimals for a
+    float, ``str`` for anything else."""
+    if v is None:
+        return "na"
+    return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+
 def report_to_csv(report: EvalReport, num_classes: int) -> str:
-    """One row per class plus the aggregate rows; ``bf_images`` counts the
-    images that boundary F1 scored, so a ``mean_bf`` of ``na`` says why."""
+    """One row per class, then one aggregate row per reported measure."""
     lines = ["row,class,accuracy,bf_f1"]
     for c in range(num_classes):
-        acc = report.per_class_acc[c]
-        bf = None
-        if report.per_class_bf is not None:
-            bf = report.per_class_bf[c]
-        lines.append(f"class,{c},{_fmt(acc)},{_fmt(bf)}")
-    lines.append(f"aggregate,pixel_acc,{_fmt(report.pixel_acc)},")
-    lines.append(f"aggregate,mean_class_acc,{_fmt(mean_class_accuracy(report.per_class_acc))},")
-    lines.append(f"aggregate,mean_iou,{_fmt(report.mean_iou)},")
-    lines.append(f"aggregate,mean_bf,{_fmt(report.mean_bf)},")
-    lines.append(f"aggregate,bf_std,{_fmt(report.bf_std_across_images)},")
-    lines.append(f"aggregate,bf_images,{report.n_bf_images},")
+        bf = None if report.per_class_bf is None else report.per_class_bf[c]
+        lines.append(f"class,{c},{fmt(report.per_class_acc[c])},{fmt(bf)}")
+    lines += [f"aggregate,{name},{fmt(v)}," for name, v in report_values(report).items()]
     return "\n".join(lines) + "\n"
 
 
 def report_summary(report: EvalReport) -> str:
-    parts = [
-        f"images={report.n_images}",
-        f"pixel_acc={_fmt(report.pixel_acc)}",
-        f"mean_class_acc={_fmt(mean_class_accuracy(report.per_class_acc))}",
-        f"mean_iou={_fmt(report.mean_iou)}",
-        f"mean_bf={_fmt(report.mean_bf)}",
-        f"bf_std={_fmt(report.bf_std_across_images)}",
-        f"bf_images={report.n_bf_images}",
-    ]
-    return " ".join(parts)
-
-
-def _fmt(v) -> str:
-    return "na" if v is None else f"{v:.6f}"
+    return " ".join([f"images={report.n_images}"] + [
+        f"{name}={fmt(v)}" for name, v in report_values(report).items()])

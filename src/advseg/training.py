@@ -21,11 +21,11 @@ from functools import partial
 import numpy as np
 
 from . import networks as N
-from .encodings import EncodingKind, build_adv_pair, downsample_labels, one_hot
+from .encodings import EncodingKind, build_adv_pair, downsample, one_hot
 from .labelmap import void_mask
 from .layers import local_contrast_normalize
 from .losses import ObjectiveConfig, adversary_objective, segmenter_objective
-from .metrics import BFConfig, evaluate_split, image_diagonal, mean_class_accuracy
+from .metrics import BFConfig, evaluate_split, fmt, image_diagonal, report_values
 from .tensor import Tensor, backward, mul
 
 SEGMENTER = "segmenter"
@@ -96,10 +96,6 @@ def player_for_iteration(iteration: int, block_len: int) -> str:
     return SEGMENTER if (iteration // block_len) % 2 == 0 else ADVERSARY
 
 
-def adversary_in_channels(cfg: TrainConfig) -> int:
-    return 3 * cfg.num_classes if cfg.encoding.kind == "product" else cfg.num_classes
-
-
 @dataclass
 class Batch:
     images: np.ndarray        # (B, 3, H, W), already preprocessed
@@ -124,8 +120,8 @@ def network_specs(cfg: TrainConfig) -> tuple[N.NetSpec, N.NetSpec]:
     """(segmenter, adversary) architectures that ``cfg`` trains."""
     seg_spec = N.build_segmenter(cfg.num_classes, cfg.channels_base,
                                  cfg.n_context_layers)
-    adv_spec = N.build_adversary(adversary_in_channels(cfg), cfg.adversary_fov,
-                                 cfg.adversary_capacity,
+    adv_spec = N.build_adversary(cfg.encoding.channels(cfg.num_classes),
+                                 cfg.adversary_fov, cfg.adversary_capacity,
                                  two_branch=cfg.encoding.include_image)
     return seg_spec, adv_spec
 
@@ -151,7 +147,7 @@ def preprocess_images(images: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
     images = np.stack([samples[i].image for i in indices])
     labels = np.stack([samples[i].labels for i in indices])
-    labels_ds = downsample_labels(labels, stride)
+    labels_ds = downsample(labels, stride)
     return Batch(
         images=preprocess_images(images, cfg),
         labels_ds=labels_ds,
@@ -167,10 +163,6 @@ def sgd_step(params: dict, lr: float) -> None:
             raise RuntimeError(f"sgd_step: no gradient on {name}")
         t.data -= lr * t.grad
         t.zero_grad()
-
-
-def _adv_inputs(adv: "object") -> object:
-    return (adv.channels, adv.image) if adv.image is not None else adv.channels
 
 
 def train_iteration(state: TrainState, batch: Batch, player: str | None = None) -> TrainState:
@@ -189,8 +181,7 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                 _, pred = build_adv_pair(batch.images, batch.labels_ds, probs,
                                          cfg.encoding)
                 adv_on_pred = N.forward(state.adv_spec,
-                                        N.detach_params(state.adv_params),
-                                        _adv_inputs(pred))
+                                        N.detach_params(state.adv_params), pred)
             loss = mul(segmenter_objective(probs, batch.target_onehot, batch.mask,
                                            adv_on_pred, obj_cfg), 1.0 / b)
             loss_val = loss.item()
@@ -202,8 +193,8 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                               Tensor(batch.images))
             gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs,
                                       cfg.encoding)
-            adv_on_gt = N.forward(state.adv_spec, state.adv_params, _adv_inputs(gt))
-            adv_on_pred = N.forward(state.adv_spec, state.adv_params, _adv_inputs(pred))
+            adv_on_gt = N.forward(state.adv_spec, state.adv_params, gt)
+            adv_on_pred = N.forward(state.adv_spec, state.adv_params, pred)
             loss = mul(adversary_objective(adv_on_gt, adv_on_pred), 1.0 / b)
             loss_val = loss.item()
             if math.isfinite(loss_val):
@@ -226,10 +217,10 @@ def adversary_accuracy(state: TrainState, samples, outputs) -> tuple[float, floa
     adv_params = N.detach_params(state.adv_params)
     right_gt = right_pred = cells = 0
     for sample, (image, probs) in zip(samples, outputs):
-        gt, pred = build_adv_pair(image, downsample_labels(sample.labels, stride),
+        gt, pred = build_adv_pair(image, downsample(sample.labels[None], stride),
                                   Tensor(probs), cfg.encoding)
-        out_gt = N.forward(state.adv_spec, adv_params, _adv_inputs(gt)).data
-        out_pred = N.forward(state.adv_spec, adv_params, _adv_inputs(pred)).data
+        out_gt = N.forward(state.adv_spec, adv_params, gt).data
+        out_pred = N.forward(state.adv_spec, adv_params, pred).data
         right_gt += np.count_nonzero(out_gt > 0.5)
         right_pred += np.count_nonzero(out_pred < 0.5)
         cells += out_gt.size
@@ -238,7 +229,6 @@ def adversary_accuracy(state: TrainState, samples, outputs) -> tuple[float, floa
 
 @dataclass
 class RunRecord:
-    cfg: TrainConfig
     rows: list = field(default_factory=list)  # dict per evaluation
     loss_history: list = field(default_factory=list)
     status: str = "completed"  # "completed" | "diverged"
@@ -268,18 +258,9 @@ def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
     acc_gt, acc_pred = (adversary_accuracy(state, dataset.val, val_outputs)
                         if cfg.lam != 0.0 else (None, None))
     for split, report in reports.items():
-        record.rows.append({
-            "iter": state.iteration,
-            "split": split,
-            "pixel_acc": report.pixel_acc,
-            "mean_class_acc": mean_class_accuracy(report.per_class_acc),
-            "mean_iou": report.mean_iou,
-            "mean_bf": report.mean_bf,
-            "bf_std": report.bf_std_across_images,
-            "bf_images": report.n_bf_images,
-            "adv_acc_gt": acc_gt,
-            "adv_acc_pred": acc_pred,
-        })
+        record.rows.append({"iter": state.iteration, "split": split,
+                            **report_values(report),
+                            "adv_acc_gt": acc_gt, "adv_acc_pred": acc_pred})
     report = reports["val"]
     if report.mean_iou > record.best_val_miou:
         record.best_val_miou = report.mean_iou
@@ -300,7 +281,7 @@ def train_run(cfg: TrainConfig, dataset) -> RunRecord:
     validation-mIoU checkpointing, and a divergence guard (a non-finite
     loss aborts the run with a diagnostic record instead of crashing)."""
     state = init_state(cfg)
-    record = RunRecord(cfg=cfg, loss_history=state.loss_history)
+    record = RunRecord(loss_history=state.loss_history)
     bf_cfg = dataset_bf_config(dataset)
     stride = N.receptive_field(state.seg_spec)[2]
     train_samples = dataset.train
@@ -337,21 +318,11 @@ def train_run(cfg: TrainConfig, dataset) -> RunRecord:
 
 
 def record_log_text(record: RunRecord) -> str:
-    """One evaluation row per line, 'key=value' columns; ``bf_images`` counts
-    the images that boundary F1 scored, so a ``mean_bf=na`` says why."""
+    """The status line, then one evaluation row per line as 'key=value'
+    columns, each value written by ``metrics.fmt``."""
     lines = [f"status={record.status}"
              + (f" diverged_at={record.diverged_at}" if record.diverged_at is not None else "")]
-    for row in record.rows:
-        parts = [f"iter={row['iter']}", f"split={row['split']}"]
-        for key in ("pixel_acc", "mean_class_acc", "mean_iou", "mean_bf",
-                    "bf_std", "bf_images", "adv_acc_gt", "adv_acc_pred"):
-            v = row[key]
-            if v is None:
-                v = "na"
-            elif not isinstance(v, int):
-                v = f"{v:.6f}"
-            parts.append(f"{key}={v}")
-        lines.append(" ".join(parts))
+    lines += [" ".join(f"{key}={fmt(v)}" for key, v in row.items()) for row in record.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -375,14 +346,16 @@ def grid_search(base_cfg: TrainConfig, dataset, slr_values, alr_values,
                 lambda_values, jobs: int = 1):
     """Cross product of the listed values; selection by best validation
     mIoU, ties by mBF then lexicographically smallest (slr, alr, lambda).
-    Diverged runs rank last. Returns (best entry, all entries)."""
+    Diverged runs rank last. Runs ``min(jobs, runs)`` worker processes, and
+    in this process when that is 1. Returns (best entry, all entries)."""
     configs = [replace(base_cfg, slr=s, alr=a, lam=l)
                for s in slr_values for a in alr_values for l in lambda_values]
     if not configs:
         raise ValueError("empty grid")
-    if jobs > 1:
+    workers = min(jobs, len(configs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_grid_worker, [(c, dataset) for c in configs]))
     else:
         entries = [_grid_worker((c, dataset)) for c in configs]

@@ -255,7 +255,7 @@ def test_criterion_5_structural_fidelity():
     labels = np.random.default_rng(19).integers(0, 4, size=(1, 16, 16))
     img = np.random.default_rng(23).uniform(size=(1, 3, 32, 32))
     gt, pred = build_adv_pair(img, labels, probs, EncodingKind("product"))
-    product_channels = gt.channels.shape[1]
+    product_channels = gt.shape[1]
 
     ok = ratio == 16 and product_channels == 3 * 4
     _report(5, ok, f"rf matches perturbation on {len(specs)} specs, "
@@ -282,8 +282,8 @@ def test_criterion_6_void_pixel_isolation():
     def all_losses(seg_arr, img_arr):
         seg = Tensor(seg_arr, requires_grad=True)
         gt, pred = build_adv_pair(img_arr, labels, seg, EncodingKind("product"))
-        a_gt = forward(adv, adv_params, gt.channels)
-        a_pred = forward(adv, adv_params, pred.channels)
+        a_gt = forward(adv, adv_params, gt)
+        a_pred = forward(adv, adv_params, pred)
         vals = (mce_loss(seg, target, mask).item(),
                 segmenter_objective(seg, target, mask, a_pred, obj).item(),
                 adversary_objective(a_gt, Tensor(a_pred.data)).item(),

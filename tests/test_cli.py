@@ -85,7 +85,7 @@ def test_train_divergence_maps_to_exit_2(tmp_path, data_dir, monkeypatch):
     import advseg.training as tr
 
     def fake_run(cfg, dataset):
-        rec = tr.RunRecord(cfg=cfg)
+        rec = tr.RunRecord()
         rec.status = "diverged"
         rec.diverged_at = 7
         rec.loss_history = [(7, tr.SEGMENTER, float("nan"))]
@@ -672,3 +672,13 @@ def test_extents_the_segmenter_pools_train_at_lambda_0(tmp_path, odd_data_dirs):
     assert run("train", "--data", str(odd_data_dirs[12]), "--out",
                str(tmp_path / "out"), *SMALL_NET, "--set", "max_iters=2",
                "--set", "eval_every=2") == 0
+
+
+def test_grid_jobs_below_1_exits_1_before_writing(tmp_path, capsys, data_dir):
+    out = tmp_path / "grid"
+    code = run("grid", "--data", str(data_dir), "--out", str(out), *SMALL_NET,
+               "--slr", "0.001", "--alr", "0.05", "--lam", "0.0", "--jobs", "0")
+    assert code == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from advseg.encodings import (
-    AdvInput,
     EncodingKind,
     build_adv_pair,
-    downsample_image,
-    downsample_labels,
+    downsample,
     encode_basic,
     encode_product,
     encode_scaling,
@@ -50,20 +48,20 @@ def test_one_hot_rejects_out_of_range():
 
 def test_downsample_labels_identity_and_corners():
     labels = np.arange(16).reshape(4, 4)
-    np.testing.assert_array_equal(downsample_labels(labels, 1), labels)
+    np.testing.assert_array_equal(downsample(labels, 1), labels)
     blocks = np.repeat(np.repeat(np.array([[1, 2], [3, 0]]), 2, axis=0), 2, axis=1)
-    np.testing.assert_array_equal(downsample_labels(blocks, 2), [[1, 2], [3, 0]])
+    np.testing.assert_array_equal(downsample(blocks, 2), [[1, 2], [3, 0]])
 
 
 def test_downsample_keeps_void():
     labels = np.zeros((4, 4), dtype=int)
     labels[0, 0] = VOID
-    assert downsample_labels(labels, 2)[0, 0] == VOID
+    assert downsample(labels, 2)[0, 0] == VOID
 
 
 def test_downsample_indivisible_errors():
     with pytest.raises(ShapeError):
-        downsample_labels(np.zeros((5, 4), dtype=int), 2)
+        downsample(np.zeros((5, 4), dtype=int), 2)
 
 
 def test_encode_basic_passthrough_and_zeroing():
@@ -111,7 +109,7 @@ def test_build_adv_pair_downsamples_image_for_product():
     prob = Tensor(np.ones((1, 1, 4, 4)))
     labels = np.zeros((1, 4, 4), dtype=int)
     _, pred = build_adv_pair(img, labels, prob, EncodingKind("product"))
-    np.testing.assert_allclose(pred.channels.data[0, :, 0, 0], [0.3, 0.6, 0.9])
+    np.testing.assert_allclose(pred.data[0, :, 0, 0], [0.3, 0.6, 0.9])
 
 
 def test_encode_product_linear_in_prob():
@@ -222,14 +220,14 @@ def test_build_adv_pair_basic():
     labels = rng.integers(0, c, size=(1, 4, 4))
     labels[0, 2, 2] = VOID
     gt, pred = build_adv_pair(None, labels, seg, EncodingKind("basic"))
-    assert isinstance(gt, AdvInput) and isinstance(pred, AdvInput)
-    np.testing.assert_array_equal(gt.channels.data[0, :, 2, 2], 0.0)
-    np.testing.assert_array_equal(pred.channels.data[0, :, 2, 2], 0.0)
-    assert not gt.channels.requires_grad
-    assert pred.channels.requires_grad
+    assert isinstance(gt, Tensor) and isinstance(pred, Tensor)
+    np.testing.assert_array_equal(gt.data[0, :, 2, 2], 0.0)
+    np.testing.assert_array_equal(pred.data[0, :, 2, 2], 0.0)
+    assert not gt.requires_grad
+    assert pred.requires_grad
     ij = np.argwhere(labels[0] != VOID)[0]
     lab = labels[0, ij[0], ij[1]]
-    assert gt.channels.data[0, lab, ij[0], ij[1]] == 1.0
+    assert gt.data[0, lab, ij[0], ij[1]] == 1.0
 
 
 def test_build_adv_pair_scaling_limit_case():
@@ -237,7 +235,7 @@ def test_build_adv_pair_scaling_limit_case():
     onehot = np.zeros((1, 2, 2, 2))
     onehot[0, 0] = 1.0
     gt, _ = build_adv_pair(None, labels, Tensor(onehot), EncodingKind("scaling", tau=0.9))
-    np.testing.assert_array_equal(gt.channels.data, onehot)
+    np.testing.assert_array_equal(gt.data, onehot)
 
 
 def test_build_adv_pair_product_channels():
@@ -248,8 +246,8 @@ def test_build_adv_pair_product_channels():
     seg = Tensor(raw / raw.sum(axis=1, keepdims=True))
     labels = rng.integers(0, c, size=(1, 4, 4))
     gt, pred = build_adv_pair(img, labels, seg, EncodingKind("product"))
-    assert gt.channels.shape == (1, 3 * c, 4, 4)
-    assert pred.channels.shape == (1, 3 * c, 4, 4)
+    assert gt.shape == (1, 3 * c, 4, 4)
+    assert pred.shape == (1, 3 * c, 4, 4)
 
 
 def test_build_adv_pair_tau_must_exceed_uniform():
@@ -265,7 +263,7 @@ def test_build_adv_pair_gradient_only_through_pred():
     seg = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
     labels = rng.integers(0, 2, size=(1, 2, 2))
     gt, pred = build_adv_pair(None, labels, seg, EncodingKind("scaling", tau=0.9))
-    backward(reduce_sum(pred.channels) + reduce_sum(gt.channels))
+    backward(reduce_sum(pred) + reduce_sum(gt))
     assert seg.grad is not None
     mask = void_mask(labels)[:, None]
     np.testing.assert_array_equal(seg.grad, np.broadcast_to(mask, seg.shape))
@@ -280,5 +278,33 @@ def test_encoding_kind_validation():
 
 def test_downsample_image_nearest():
     img = np.arange(2 * 4 * 4, dtype=float).reshape(1, 2, 4, 4)
-    out = downsample_image(img, 2)
+    out = downsample(img, 2)
     np.testing.assert_array_equal(out, img[:, :, ::2, ::2])
+
+
+@pytest.mark.parametrize("include_image", [False, True])
+@pytest.mark.parametrize("kind", ["basic", "product", "scaling"])
+def test_build_adv_pair_sides_are_adversary_inputs(kind, include_image):
+    from advseg.networks import forward, init_params, receptive_field
+    from advseg.training import TrainConfig, network_specs
+
+    cfg = TrainConfig(num_classes=3, channels_base=4, n_context_layers=1,
+                      adversary_fov="small", adversary_capacity="light",
+                      encoding=EncodingKind(kind, include_image=include_image))
+    seg, adv = network_specs(cfg)
+    rng = np.random.default_rng(11)
+    images = rng.uniform(size=(2, 3, 16, 16))
+    labels = rng.integers(0, 3, size=(2, 16, 16))
+    labels[0, 0, :] = VOID
+    probs = forward(seg, init_params(seg, 0), Tensor(images))
+    labels_ds = downsample(labels, receptive_field(seg)[2])
+    gt, pred = build_adv_pair(images, labels_ds, probs, cfg.encoding)
+
+    params = init_params(adv, 1)
+    for side in (gt, pred):
+        assert forward(adv, params, side).shape == (2, 1, 2, 2)
+    if include_image:
+        assert gt[1] is pred[1]
+        gt, pred = gt[0], pred[0]
+    assert gt.node is None and not gt.requires_grad
+    assert pred.node is not None

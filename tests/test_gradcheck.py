@@ -23,15 +23,15 @@ def _whole_composition_losses(instance):
     def seg_loss(_):
         probs = forward(seg, seg_params, x)
         _, pred = build_adv_pair(None, labels, probs, basic)
-        grid = forward(adv, adv_params, pred.channels)
+        grid = forward(adv, adv_params, pred)
         return segmenter_objective(probs, target, mask, grid, cfg)
 
     probs_const = forward(seg, seg_params, x).detach()
 
     def adv_loss(_):
         gt, pred = build_adv_pair(None, labels, probs_const, basic)
-        return adversary_objective(forward(adv, adv_params, gt.channels),
-                                   forward(adv, adv_params, pred.channels))
+        return adversary_objective(forward(adv, adv_params, gt),
+                                   forward(adv, adv_params, pred))
 
     return {"seg": seg_loss, "adv": adv_loss}
 

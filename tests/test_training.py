@@ -269,9 +269,8 @@ def test_adversary_accuracy_covers_the_whole_val_split():
     probs = forward(state.seg_spec, state.seg_params, Tensor(batch.images))
     assert probs.node is not None
     gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs, cfg.encoding)
-    out_gt = forward(state.adv_spec, state.adv_params, (gt.channels, gt.image)).data
-    out_pred = forward(state.adv_spec, state.adv_params,
-                       (pred.channels, pred.image)).data
+    out_gt = forward(state.adv_spec, state.adv_params, gt).data
+    out_pred = forward(state.adv_spec, state.adv_params, pred).data
     assert row["adv_acc_gt"] == float(np.mean(out_gt > 0.5))
     assert row["adv_acc_pred"] == float(np.mean(out_pred < 0.5))
 
@@ -396,7 +395,7 @@ def test_grid_search_ranks_diverged_last(monkeypatch):
     base = tiny_cfg(max_iters=2, eval_every=2)
 
     def fake_run(cfg, dataset):
-        rec = tr.RunRecord(cfg=cfg)
+        rec = tr.RunRecord()
         if cfg.slr > 1.0:
             rec.status = "diverged"
             rec.diverged_at = 0
@@ -412,7 +411,7 @@ def test_grid_search_ranks_diverged_last(monkeypatch):
     assert best[0].slr == 0.01 and best[0].alr == 0.2
     # tie on miou broken by mbf, then lexicographic (slr, alr, lam)
     def run2(cfg, dataset):
-        rec = tr.RunRecord(cfg=cfg)
+        rec = tr.RunRecord()
         rec.best_val_miou = 0.5
         rec.best_val_mbf = 0.7 if cfg.alr == 0.05 else 0.1
         return rec
@@ -468,3 +467,87 @@ def test_config_validation():
             TrainConfig(**bad)
     TrainConfig(max_iters=0, lcn_window=3)
     TrainConfig(n_context_layers=0, encoding=EncodingKind("scaling", tau=0.26))
+
+
+def test_report_formats_share_one_measure_list(monkeypatch):
+    import advseg.training as tr
+    from advseg.metrics import EvalReport, report_summary, report_to_csv, report_values
+
+    # a float 1.0, a mean of two class accuracies, no boundary F1 and an
+    # integer image count, written by the eval summary, the eval CSV and run.log
+    report = EvalReport(per_class_acc=[1.0, 0.5, None], pixel_acc=1.0, mean_iou=0.25,
+                        n_images=3, n_bf_images=0)
+    monkeypatch.setattr(tr, "evaluate_split", lambda *args, **kwargs: report)
+    record = train_run(tiny_cfg(lam=0.0, max_iters=0), tiny_dataset())
+
+    summary = report_summary(report)
+    csv = report_to_csv(report, 3)
+    row = record_log_text(record).splitlines()[1]
+    assert summary == ("images=3 pixel_acc=1.000000 mean_class_acc=0.750000 "
+                       "mean_iou=0.250000 mean_bf=na bf_std=na bf_images=0")
+    assert csv == ("row,class,accuracy,bf_f1\n"
+                   "class,0,1.000000,na\n"
+                   "class,1,0.500000,na\n"
+                   "class,2,na,na\n"
+                   "aggregate,pixel_acc,1.000000,\n"
+                   "aggregate,mean_class_acc,0.750000,\n"
+                   "aggregate,mean_iou,0.250000,\n"
+                   "aggregate,mean_bf,na,\n"
+                   "aggregate,bf_std,na,\n"
+                   "aggregate,bf_images,0,\n")
+    assert row == ("iter=0 split=train pixel_acc=1.000000 mean_class_acc=0.750000 "
+                   "mean_iou=0.250000 mean_bf=na bf_std=na bf_images=0 "
+                   "adv_acc_gt=na adv_acc_pred=na")
+
+    names = list(report_values(report))
+    assert [part.split("=")[0] for part in summary.split()[1:]] == names
+    assert [line.split(",")[1] for line in csv.splitlines()
+            if line.startswith("aggregate,")] == names
+    assert [part.split("=")[0] for part in row.split()[2:-2]] == names
+
+
+def test_grid_search_starts_no_more_workers_than_runs(monkeypatch):
+    import concurrent.futures
+
+    import advseg.training as tr
+
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records ``max_workers`` and
+        maps in this process, so no worker process starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(tr, "train_run", lambda cfg, dataset: tr.RunRecord())
+    ds, base = tiny_dataset(), tiny_cfg()
+    _, entries = tr.grid_search(base, ds, [0.01, 0.02], [0.05], [0.0], jobs=64)
+    assert len(entries) == 2 and started == [2]
+    _, entries = tr.grid_search(base, ds, [0.01], [0.05], [0.0], jobs=3)
+    assert len(entries) == 1 and started == [2]  # one run: in this process
+
+
+def test_grid_search_worker_processes_match_one_process():
+    ds = tiny_dataset()
+    base = tiny_cfg(max_iters=2, eval_every=2)
+    grids = [0.01, 0.02], [0.05], [1.0]
+    _, serial = grid_search(base, ds, *grids, jobs=1)
+    _, pooled = grid_search(base, ds, *grids, jobs=2)
+    assert [cfg for cfg, _ in pooled] == [cfg for cfg, _ in serial]
+    for (_, a), (_, b) in zip(serial, pooled):
+        assert a.rows == b.rows and a.status == b.status
+        assert a.best_val_miou == b.best_val_miou and a.best_val_mbf == b.best_val_mbf
+        assert a.loss_history == b.loss_history
+        assert params_bytes(a.best_seg_params) == params_bytes(b.best_seg_params)
+        assert params_bytes(a.best_adv_params) == params_bytes(b.best_adv_params)
