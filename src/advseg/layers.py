@@ -11,14 +11,19 @@ that is reused from call to call. Each band's ``np.matmul`` writes straight
 into its rows of the result, so the columns stay in cache and are never
 held for the whole output at once (Goto & van de Geijn, "Anatomy of
 High-Performance Matrix Multiplication", ACM TOMS 2008). The forward pass
-correlates the padded input with the kernel. Backward builds one set of
-columns, from the output gradient zero-dilated by the stride and padded by
-the effective kernel extent (Dumoulin & Visin, "A guide to convolution
-arithmetic", arXiv 1603.07285). Against the flipped, transposed kernel they
-give the input gradient; against the input, summed over bands and flipped
-back, the kernel gradient. The graph keeps no columns, and the input only
-when the kernel gradient is needed. Backward computes only the gradients
-whose operands required one when the op was built.
+correlates the padded input with the kernel. When the input needs a
+gradient, backward builds one set of columns, from the output gradient
+zero-dilated by the stride and padded by the effective kernel extent
+(Dumoulin & Visin, "A guide to convolution arithmetic", arXiv 1603.07285).
+Against the flipped, transposed kernel they give the input gradient;
+against the input, summed over bands and flipped back, the kernel
+gradient. When only the kernel gradient is needed (a network's first
+layer), backward rebuilds the forward's columns of the padded input, which
+are the smaller set when the layer has fewer input than output channels,
+and sums their products with the output gradient. The graph keeps no
+columns, and the input only when the kernel gradient is needed. Backward
+computes only the gradients whose operands required one when the op was
+built.
 
 Max pooling reads the four strided views ``x[:, :, i::2, j::2]`` of its
 input, one per window position, and copies nothing: the forward pass is an
@@ -183,7 +188,7 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
 
     def bw(g):
         gx = gk = gb = None
-        if need_x or need_k:
+        if need_x:
             # columns of the output gradient spread onto the stride grid and
             # padded by the effective kernel extent less the forward padding;
             # their rows are indexed (cout, kh, kw) with the kernel flipped
@@ -192,13 +197,17 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
             # input gradient: stride-1 correlation with the flipped,
             # transposed kernel; positions the forward never read come out
             # exactly zero
-            flipped = (kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-                       if need_x else None)
+            flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
             gx, acc = _correlate(g, spread, kh, kw, 1, dil, kernel=flipped, other=xd)
             if need_k:
                 # the same columns against the input, flipped back
                 gk = np.ascontiguousarray(acc.reshape(cout, kh, kw, cin)
                                           [:, ::-1, ::-1].transpose(0, 3, 1, 2))
+        elif need_k:
+            # no input gradient: the forward's columns of the padded input
+            # against the output gradient
+            acc = _correlate(xd, padded, kh, kw, st, dil, other=g)[1]
+            gk = np.ascontiguousarray(acc.T).reshape(cout, cin, kh, kw)
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)

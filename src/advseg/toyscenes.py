@@ -73,8 +73,11 @@ class SceneSpec:
         return self.base_colors if self.base_colors else default_colors(self.num_classes)
 
 
-@dataclass
+@dataclass(eq=False)
 class Sample:
+    """One scene. Compared and hashed by identity: training keys the frozen
+    segmenter's stored outputs by the sample object."""
+
     image: np.ndarray  # (3, H, W) float64 in [0, 1]
     labels: np.ndarray  # (H, W) int64, values in [0, C) or VOID
     id: str

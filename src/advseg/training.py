@@ -8,6 +8,19 @@ predictions only, and the segmenter in an adversary turn builds no graph,
 so gradients never leak across players. Objectives are divided by
 batch size only; pixel sums stay at the per-image scale.
 
+The segmenter does not move during adversary turns, so ``TrainState``
+keeps its probability maps in ``seg_probs``, keyed by the ``Sample``
+object: an adversary turn forwards only the samples the store lacks, each
+once, and a segmenter turn empties the store. In the slow scheme a block of
+adversary turns then forwards each training scene at most once; in the fast
+scheme each adversary turn of the main loop follows a segmenter turn and
+finds the store empty. This is exact: a row of
+a batched segmenter forward, and of local contrast normalization before it,
+does not depend on the other images of the batch, so every stored map
+equals the row a full forward of any batch would give, bit for bit. The
+store holds at most one (C, H/2, W/2) map per training scene, C/12 of the
+scenes' image memory.
+
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
 defaults to off: warming the adversary up first destabilizes training.
 """
@@ -102,6 +115,7 @@ class Batch:
     labels_ds: np.ndarray     # (B, h, w) at segmenter output resolution
     target_onehot: np.ndarray
     mask: np.ndarray
+    samples: list             # the drawn ``Sample`` objects, in batch order
 
 
 @dataclass
@@ -114,6 +128,9 @@ class TrainState:
     rng: np.random.Generator
     iteration: int = 0
     loss_history: list = field(default_factory=list)  # (iter, player, loss)
+    # Sample -> the frozen segmenter's (C, h, w) probability map of it;
+    # valid until the segmenter moves, so a segmenter turn empties it
+    seg_probs: dict = field(default_factory=dict)
 
 
 def network_specs(cfg: TrainConfig) -> tuple[N.NetSpec, N.NetSpec]:
@@ -153,6 +170,7 @@ def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
         labels_ds=labels_ds,
         target_onehot=one_hot(labels_ds, cfg.num_classes),
         mask=void_mask(labels_ds),
+        samples=[samples[i] for i in indices],
     )
 
 
@@ -165,6 +183,23 @@ def sgd_step(params: dict, lr: float) -> None:
         t.zero_grad()
 
 
+def frozen_segmenter_probs(state: TrainState, batch: Batch) -> Tensor:
+    """The segmenter's probability maps of ``batch`` on detached parameters.
+    Only the samples that ``state.seg_probs`` lacks are forwarded, each once
+    in batch order, and their rows are stored; the batch's maps are then
+    stacked from the store."""
+    store = state.seg_probs
+    rows = {}  # sample -> its first row in the batch
+    for row, sample in enumerate(batch.samples):
+        if sample not in store:
+            rows.setdefault(sample, row)
+    if rows:
+        probs = N.forward(state.seg_spec, N.detach_params(state.seg_params),
+                          Tensor(batch.images[list(rows.values())]))
+        store.update(zip(rows, probs.data))
+    return Tensor(np.stack([store[s] for s in batch.samples]))
+
+
 def train_iteration(state: TrainState, batch: Batch, player: str | None = None) -> TrainState:
     """Run one SGD step for the scheduled player (or an explicit one)."""
     cfg = state.cfg
@@ -175,6 +210,7 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if player == SEGMENTER:
+            state.seg_probs.clear()
             probs = N.forward(state.seg_spec, state.seg_params, Tensor(batch.images))
             adv_on_pred = None
             if cfg.lam > 0.0:
@@ -189,8 +225,7 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                 backward(loss)
                 sgd_step(state.seg_params, cfg.slr)
         else:
-            probs = N.forward(state.seg_spec, N.detach_params(state.seg_params),
-                              Tensor(batch.images))
+            probs = frozen_segmenter_probs(state, batch)
             gt, pred = build_adv_pair(batch.images, batch.labels_ds, probs,
                                       cfg.encoding)
             adv_on_gt = N.forward(state.adv_spec, state.adv_params, gt)
@@ -337,17 +372,25 @@ def _rank_key(entry):
     return (diverged, -record.best_val_miou, -mbf, (cfg.slr, cfg.alr, cfg.lam))
 
 
-def _grid_worker(args):
-    cfg, dataset = args
-    return cfg, train_run(cfg, dataset)
+_grid_dataset = None  # the dataset of a grid worker process
+
+
+def _grid_init(dataset) -> None:
+    global _grid_dataset
+    _grid_dataset = dataset
+
+
+def _grid_worker(cfg):
+    return cfg, train_run(cfg, _grid_dataset)
 
 
 def grid_search(base_cfg: TrainConfig, dataset, slr_values, alr_values,
                 lambda_values, jobs: int = 1):
     """Cross product of the listed values; selection by best validation
     mIoU, ties by mBF then lexicographically smallest (slr, alr, lambda).
-    Diverged runs rank last. Runs ``min(jobs, runs)`` worker processes, and
-    in this process when that is 1. Returns (best entry, all entries)."""
+    Diverged runs rank last. Runs ``min(jobs, runs)`` worker processes,
+    each handed the dataset once when it starts, and in this process when
+    that is 1. Returns (best entry, all entries)."""
     configs = [replace(base_cfg, slr=s, alr=a, lam=l)
                for s in slr_values for a in alr_values for l in lambda_values]
     if not configs:
@@ -355,9 +398,10 @@ def grid_search(base_cfg: TrainConfig, dataset, slr_values, alr_values,
     workers = min(jobs, len(configs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_grid_worker, [(c, dataset) for c in configs]))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_grid_init,
+                                 initargs=(dataset,)) as pool:
+            entries = list(pool.map(_grid_worker, configs))
     else:
-        entries = [_grid_worker((c, dataset)) for c in configs]
+        entries = [(c, train_run(c, dataset)) for c in configs]
     ranked = sorted(entries, key=_rank_key)
     return ranked[0], entries

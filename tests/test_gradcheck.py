@@ -11,27 +11,38 @@ from advseg.tensor import backward, grad_check
 
 
 def _whole_composition_losses(instance):
-    """Per player, a loss that runs the whole composition from the inputs on
-    every call, as the end-to-end cases did before they started at the
-    parameter's layer."""
+    """Per player, the loss of the end-to-end case of one parameter, running
+    the whole composition from the inputs on every call, as the end-to-end
+    cases did before they started at the parameter's layer. As in the
+    cases, every other parameter is detached, so each op's rule is asked
+    for the gradients of the same operands."""
     seg, adv, seg_params, adv_params, x, labels = instance
     cfg = ObjectiveConfig(lam=1.0, modified_update=True)
     target = np.stack([labels == 0, labels == 1], axis=1).astype(np.float64)
     mask = np.ones((1, 4, 4))
     basic = EncodingKind("basic")
+    seg_fixed, adv_fixed = N.detach_params(seg_params), N.detach_params(adv_params)
 
-    def seg_loss(_):
-        probs = forward(seg, seg_params, x)
-        _, pred = build_adv_pair(None, labels, probs, basic)
-        grid = forward(adv, adv_params, pred)
-        return segmenter_objective(probs, target, mask, grid, cfg)
+    def seg_loss(name):
+        params = {**seg_fixed, name: seg_params[name]}
+
+        def f(_):
+            probs = forward(seg, params, x)
+            _, pred = build_adv_pair(None, labels, probs, basic)
+            grid = forward(adv, adv_fixed, pred)
+            return segmenter_objective(probs, target, mask, grid, cfg)
+        return f
 
     probs_const = forward(seg, seg_params, x).detach()
 
-    def adv_loss(_):
-        gt, pred = build_adv_pair(None, labels, probs_const, basic)
-        return adversary_objective(forward(adv, adv_params, gt),
-                                   forward(adv, adv_params, pred))
+    def adv_loss(name):
+        params = {**adv_fixed, name: adv_params[name]}
+
+        def f(_):
+            gt, pred = build_adv_pair(None, labels, probs_const, basic)
+            return adversary_objective(forward(adv, params, gt),
+                                       forward(adv, params, pred))
+        return f
 
     return {"seg": seg_loss, "adv": adv_loss}
 
@@ -53,7 +64,8 @@ def test_composition_closures_equal_the_whole_composition(monkeypatch):
     assert len(cases) == len(instance[2]) + len(instance[3])
     h = 1e-5
     for name, p, f in cases:
-        ref = whole[name[len("end_to_end_"):][:3]]
+        player, param = name[len("end_to_end_"):-1].split("[")
+        ref = whole[player](param)
         assert f(p).item() == ref(p).item(), name
         flat = p.data.reshape(-1)
         for i in sorted({0, flat.size // 2, flat.size - 1}):

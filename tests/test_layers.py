@@ -130,6 +130,38 @@ def test_conv_backward_matches_loop_oracle():
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
 
+def test_conv_kernel_grad_of_a_frozen_input_matches_loop_oracle():
+    # only the kernel and bias need a gradient: the rule takes the
+    # forward's columns of the input instead of the output gradient's
+    rng = np.random.default_rng(13)
+    for stride, dilation, padding, kh, kw in CONV_GEOMETRIES:
+        x = Tensor(rng.normal(size=(2, 3, 9, 8)))
+        k = Tensor(rng.normal(size=(4, 3, kh, kw)), requires_grad=True)
+        out = conv2d(x, ConvParams(k, Tensor(np.zeros(4)), stride, dilation, padding))
+        g = rng.normal(size=out.shape)
+        gx, gk, gb = out.node.backward_fn(g)
+        assert gx is None and gb is None
+        assert gk.flags.c_contiguous
+        want_gk = conv2d_grads_naive(x.data, k.data, g, stride, dilation, padding)[1]
+        np.testing.assert_allclose(gk, want_gk, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_kernel_grad_check_with_a_frozen_input():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.uniform(0.2, 1.0, size=(2, 3, 9, 9)))
+    k = Tensor(rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3)))
+    b = Tensor(rng.uniform(-0.2, 0.2, size=4))
+
+    def f(t):  # stride 2, dilation 2, no padding; x never needs a gradient
+        out = conv2d(x, ConvParams(t, b, 2, 2, 0))
+        return reduce_sum(out * out)
+
+    assert grad_check(f, k) < TOLERANCE
+    with overridden_backward(
+            "conv2d", lambda grads: (grads[0], grads[1][:, :, ::-1, ::-1], grads[2])):
+        assert grad_check(f, k) > TOLERANCE
+
+
 def test_conv_input_grad_exactly_zero_where_never_read():
     # 2x3 kernel, stride 3, padding 1 on 6x6: padded rows 2 and 5 and
     # padded column 6 are never read, i.e. input rows 1, 4 and column 5
@@ -375,9 +407,8 @@ def test_gradcheck_banded_kernel_case_spans_several_bands(monkeypatch):
 
 
 def test_gradcheck_flags_conv_kernel_grad_without_final_flip():
-    """Negative control: a kernel gradient that skips the final flip back
-    (from the columns of the output gradient) must fail every conv kernel
-    case."""
+    """Negative control: a kernel gradient that comes back flipped must fail
+    every conv kernel case, whichever columns it is formed from."""
     kernel_cases = [(name, x, f) for name, x, f in _layer_cases()
                     if name.startswith("conv2d_kernel")]
     assert len(kernel_cases) == 4

@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import advseg.networks as N
 import advseg.tensor as T
 from advseg.encodings import EncodingKind, build_adv_pair
+from advseg.layers import local_contrast_normalize
 from advseg.networks import forward, receptive_field
 from advseg.tensor import Tensor, backward, reduce_sum
 from advseg.toyscenes import SceneSpec, make_dataset
@@ -13,6 +17,7 @@ from advseg.training import (
     ADVERSARY,
     SEGMENTER,
     TrainConfig,
+    frozen_segmenter_probs,
     grid_search,
     init_state,
     make_batch,
@@ -514,11 +519,14 @@ def test_grid_search_starts_no_more_workers_than_runs(monkeypatch):
     started = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records ``max_workers`` and
-        maps in this process, so no worker process starts."""
+        """Stands in for ProcessPoolExecutor: records ``max_workers``, runs
+        the initializer and maps in this process, so no worker process
+        starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -551,3 +559,165 @@ def test_grid_search_worker_processes_match_one_process():
         assert a.loss_history == b.loss_history
         assert params_bytes(a.best_seg_params) == params_bytes(b.best_seg_params)
         assert params_bytes(a.best_adv_params) == params_bytes(b.best_adv_params)
+
+
+def test_grid_search_hands_each_worker_the_dataset_at_most_once(monkeypatch):
+    from advseg.toyscenes import Dataset
+
+    pickled = []  # appended to in this process only
+
+    def counted(self, protocol):
+        pickled.append(protocol)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(Dataset, "__reduce_ex__", counted, raising=False)
+    ds = tiny_dataset()
+    base = tiny_cfg(max_iters=1, eval_every=1, lam=0.0)
+    _, entries = grid_search(base, ds, [0.01, 0.02, 0.03, 0.04], [0.05], [0.0],
+                             jobs=2)
+    assert len(entries) == 4 and all(r.status == "completed" for _, r in entries)
+    # before, every run's (cfg, dataset) pair went through the pool's pipe
+    assert len(pickled) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the frozen segmenter's stored probability maps in adversary turns
+
+
+def _train_run_final_state(cfg, ds, monkeypatch, cold):
+    """``train_run`` on ``ds``, emptying the store before every adversary
+    turn when ``cold``. Returns the record, the final state, and the number
+    of segmenter rows that adversary turns forwarded and of the distinct
+    samples in their batches."""
+    import advseg.training as TR
+    real_iteration, real_forward = TR.train_iteration, N.forward
+    rows, turn = {"forwarded": 0, "distinct": 0}, {}
+
+    def iteration(state, batch, player=None):
+        if player == ADVERSARY:
+            if cold:
+                state.seg_probs.clear()
+            rows["distinct"] += len(set(batch.samples))
+        turn.update(state=state, player=player)
+        try:
+            return real_iteration(state, batch, player)
+        finally:
+            turn["player"] = None  # evaluations forward the segmenter too
+
+    def forward(spec, params, inputs, *args, **kwargs):
+        if turn.get("player") == ADVERSARY and spec.role == "segmenter":
+            rows["forwarded"] += len(inputs.data)
+        return real_forward(spec, params, inputs, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(TR, "train_iteration", iteration)
+        m.setattr(N, "forward", forward)
+        record = TR.train_run(cfg, ds)
+    return record, turn["state"], rows
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(batch_size=6),  # more than the 4 scenes: draws with replacement
+    dict(encoding=EncodingKind("product", include_image=True), lcn_window=3),
+    dict(encoding=EncodingKind("scaling", tau=0.8)),
+    dict(pretrain_adversary_iters=5),
+], ids=["basic", "replace", "product_image_lcn", "scaling", "pretrain"])
+def test_stored_segmenter_maps_change_nothing(monkeypatch, kw):
+    # slow scheme, blocks of 3 over 14 iterations: 2 adversary blocks that
+    # draw 2 of 4 scenes per turn, so scenes repeat within a block
+    cfg = tiny_cfg(scheme="slow", block_len=3, max_iters=14, eval_every=7, **kw)
+    ds = tiny_dataset()
+    cold = _train_run_final_state(cfg, ds, monkeypatch, cold=True)
+    warm = _train_run_final_state(cfg, ds, monkeypatch, cold=False)
+    assert warm[0].status == cold[0].status == "completed"
+    assert warm[0].loss_history == cold[0].loss_history
+    assert warm[0].rows == cold[0].rows
+    for name in ("seg_params", "adv_params"):
+        assert (params_bytes(getattr(warm[1], name))
+                == params_bytes(getattr(cold[1], name))), name
+    assert cold[2]["forwarded"] == cold[2]["distinct"]
+    assert warm[2]["forwarded"] < warm[2]["distinct"]  # the store was read
+
+
+def test_segmenter_turn_empties_the_store():
+    cfg = tiny_cfg()
+    ds = tiny_dataset()
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+    train_iteration(state, make_batch(ds.train, [0, 1], cfg, stride), ADVERSARY)
+    assert len(state.seg_probs) == 2
+    train_iteration(state, make_batch(ds.train, [2, 3], cfg, stride), SEGMENTER)
+    assert state.seg_probs == {}
+
+
+def test_adversary_turn_stores_one_map_per_distinct_sample(monkeypatch):
+    cfg = tiny_cfg(batch_size=4)
+    ds = tiny_dataset()
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+    real = N.forward
+    seg_rows = []
+
+    def spy(spec, params, inputs, *args, **kwargs):
+        if spec is state.seg_spec:
+            seg_rows.append(inputs.data.copy())
+        return real(spec, params, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(N, "forward", spy)
+    batch = make_batch(ds.train, [2, 0, 2, 1], cfg, stride)
+    train_iteration(state, batch, ADVERSARY)
+    # one forward of each distinct sample, in batch order
+    assert len(seg_rows) == 1
+    assert seg_rows[0].tobytes() == batch.images[[0, 1, 3]].tobytes()
+    assert list(state.seg_probs) == [ds.train[2], ds.train[0], ds.train[1]]
+    detached = N.detach_params(state.seg_params)
+    for sample, probs in state.seg_probs.items():
+        alone = real(state.seg_spec, detached, Tensor(sample.image[None])).data[0]
+        assert probs.tobytes() == alone.tobytes()
+
+    # a second turn forwards only the sample the store lacks
+    batch = make_batch(ds.train, [1, 3, 0, 3], cfg, stride)
+    train_iteration(state, batch, ADVERSARY)
+    assert len(seg_rows) == 2
+    assert seg_rows[1].tobytes() == ds.train[3].image[None].tobytes()
+    assert len(state.seg_probs) == 4
+    # the maps come out in batch order, as one forward of the batch gives them
+    whole = real(state.seg_spec, detached, Tensor(batch.images)).data
+    assert frozen_segmenter_probs(state, batch).data.tobytes() == whole.tobytes()
+
+    # samples of another dataset carry the same ids and pixels, yet never hit
+    twin = tiny_dataset()
+    assert [s.id for s in twin.train] == [s.id for s in ds.train]
+    assert twin.train[0].image.tobytes() == ds.train[0].image.tobytes()
+    train_iteration(state, make_batch(twin.train, [0, 1], cfg, stride), ADVERSARY)
+    assert len(seg_rows) == 3 and len(seg_rows[2]) == 2
+    assert len(state.seg_probs) == 6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=st.integers(2, 4), extent=st.sampled_from([8, 12, 16]),
+       num_classes=st.integers(2, 4), channels_base=st.integers(1, 6),
+       n_context_layers=st.integers(0, 2), lcn=st.sampled_from([0, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_segmenter_batch_rows_equal_each_image_alone(
+        batch, extent, num_classes, channels_base, n_context_layers, lcn, seed):
+    """What the store rests on: a row of a batched segmenter forward, and of
+    local contrast normalization before it, does not depend on the other
+    images of the batch, bit for bit."""
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, size=(batch, 3, extent, extent))
+    spec = N.build_segmenter(num_classes, channels_base, n_context_layers)
+    params = N.detach_params(N.init_params(spec, seed % 1000))
+    if lcn:
+        normalized = local_contrast_normalize(images, lcn)
+        for i in range(batch):
+            alone = local_contrast_normalize(images[i:i + 1], lcn)
+            assert alone.tobytes() == normalized[i:i + 1].tobytes()
+        images = normalized
+    whole = forward(spec, params, Tensor(images)).data
+    for i in range(batch):
+        alone = forward(spec, params, Tensor(images[i:i + 1])).data
+        assert alone.tobytes() == whole[i:i + 1].tobytes()
+    tail = forward(spec, params, Tensor(images[1:])).data
+    assert tail.tobytes() == whole[1:].tobytes()
