@@ -61,6 +61,7 @@ DEFAULTS = {
 # class index -> overlay color (shared by export-maps and any viewer)
 PALETTE = ((40, 40, 40), (230, 25, 75), (60, 180, 75), (255, 225, 25),
            (0, 130, 200), (245, 130, 48), (145, 30, 180), (70, 240, 240))
+OVERLAY_ALPHA = 0.5  # weight of the palette color in an export-maps overlay
 
 
 class CliError(Exception):
@@ -217,6 +218,8 @@ def cmd_gen_data(args) -> int:
     spec = scene_spec_from(cfg)
     with _config_values():
         counts = [int(cfg[key]) for key in ("n_train", "n_val", "n_test")]
+        if min(counts) < 0:
+            raise ValueError(f"n_train, n_val and n_test must be >= 0, got {counts}")
     out_dir = _prepare_out_dir(cfg, args.out)
     ds = D.make_dataset(spec, *counts)
     D.save_dataset(ds, out_dir)
@@ -344,10 +347,10 @@ def cmd_export_maps(args) -> int:
     return EXIT_OK
 
 
-def _overlay(image: np.ndarray, labels: np.ndarray, alpha: float = 0.5) -> np.ndarray:
-    colors = np.asarray(PALETTE, dtype=np.float64)[:, :] / 255.0
+def _overlay(image: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    colors = np.asarray(PALETTE, dtype=np.float64) / 255.0
     painted = colors[labels].transpose(2, 0, 1)
-    return (1.0 - alpha) * image + alpha * painted
+    return (1.0 - OVERLAY_ALPHA) * image + OVERLAY_ALPHA * painted
 
 
 def cmd_grid(args) -> int:
@@ -356,16 +359,16 @@ def cmd_grid(args) -> int:
     with _config_values():
         slrs, alrs, lams = ([float(v) for v in values.split(",")]
                             for values in (args.slr, args.alr, args.lam))
-        for slr, alr, lam in itertools.product(slrs, alrs, lams):
-            replace(base, slr=slr, alr=alr, lam=lam)  # checks each combination
+        configs = [replace(base, slr=s, alr=a, lam=l)
+                   for s, a, l in sorted(itertools.product(slrs, alrs, lams))]
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_FAIL)
     ds = _load_dataset(args.data, base, ("train", "val"), lams)
     out_dir = _prepare_out_dir(cfg, args.out)
-    best, entries = TR.grid_search(base, ds, slrs, alrs, lams, jobs=args.jobs)
+    best, entries = TR.grid_search(configs, ds, jobs=args.jobs)
     lines = [f"slr={c.slr:g} alr={c.alr:g} lambda={c.lam:g} status={r.status} "
              f"val_miou={M.fmt(r.best_val_miou)} val_mbf={M.fmt(r.best_val_mbf)}"
-             for c, r in sorted(entries, key=lambda e: (e[0].slr, e[0].alr, e[0].lam))]
+             for c, r in entries]
     (out_dir / "grid.log").write_text("\n".join(lines) + "\n")
     c, r = best
     print(f"best: slr={c.slr:g} alr={c.alr:g} lambda={c.lam:g} "

@@ -42,7 +42,7 @@ from . import layers as L
 from . import networks as N
 from . import tensor as T
 from .encodings import EncodingKind, build_adv_pair
-from .losses import ObjectiveConfig, adversary_objective, bce_loss, mce_loss, segmenter_objective
+from .losses import adversary_objective, bce_loss, mce_loss, segmenter_objective
 
 TOLERANCE = 1e-4
 KINK_MARGIN = 1e-3
@@ -183,9 +183,8 @@ def _loss_cases():
 
     adv = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 1, 1, 1)))
     for tag, modified in (("modified", True), ("original", False)):
-        cfg = ObjectiveConfig(lam=0.8, modified_update=modified)
         yield (f"segmenter_objective_{tag}", pred,
-               lambda t, cfg=cfg: segmenter_objective(t, target, mask, adv, cfg))
+               lambda t, m=modified: segmenter_objective(t, target, mask, adv, 0.8, m))
     other = T.Tensor(grid.data * 0.9)
     yield "adversary_objective", grid, lambda t: adversary_objective(t, other)
 
@@ -256,7 +255,6 @@ def _layer_of(name: str) -> int:
 
 def _composition_cases():
     seg, adv, seg_params, adv_params, x, labels = find_composition_instance()
-    cfg = ObjectiveConfig(lam=1.0, modified_update=True)
     target = np.zeros((1, 2, 4, 4))
     target[0, 0] = labels == 0
     target[0, 1] = labels == 1
@@ -276,7 +274,7 @@ def _composition_cases():
             probs = N.forward(seg, params, seg_in[k], start=k)
             _, pred = build_adv_pair(None, labels, probs, basic)
             grid = N.forward(adv, adv_fixed, pred)
-            return segmenter_objective(probs, target, mask, grid, cfg)
+            return segmenter_objective(probs, target, mask, grid, 1.0, True)
         return f
 
     def adv_loss(name):
@@ -325,5 +323,5 @@ def run_suite(corrupt_op: str | None = None, h: float = 1e-5):
         return [(name, T.grad_check(f, x, h=h)) for name, x, f in cases]
 
 
-def suite_passed(results, tolerance: float = TOLERANCE) -> bool:
-    return all(err < tolerance for _, err in results)
+def suite_passed(results) -> bool:
+    return all(err < TOLERANCE for _, err in results)

@@ -10,30 +10,11 @@ before any log so every objective stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ShapeError, Tensor, clamp, log, mul, neg, reduce_mean, reduce_sum
 
 PROB_EPS = 1e-7
-
-
-@dataclass
-class ObjectiveConfig:
-    """Trade-off weight and which segmenter surrogate to use.
-
-    ``modified_update`` swaps -lam * bce(a, 0) for +lam * bce(a, 1), which
-    has the same critical points but a stronger gradient when the adversary
-    is confident the map is synthetic.
-    """
-
-    lam: float = 1.0
-    modified_update: bool = True
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
 
 
 def expand_mask(mask, shape) -> np.ndarray:
@@ -98,19 +79,21 @@ def adversary_objective(adv_on_gt: Tensor, adv_on_pred: Tensor) -> Tensor:
 
 
 def segmenter_objective(seg_out: Tensor, target_onehot, mask,
-                        adv_on_pred: Tensor | None,
-                        cfg: ObjectiveConfig) -> Tensor:
-    """Cross-entropy plus the adversarial surrogate, adversary frozen.
+                        adv_on_pred: Tensor | None, lam: float,
+                        modified_update: bool) -> Tensor:
+    """Cross-entropy plus the lambda-weighted adversarial surrogate,
+    adversary frozen. The modified update has the original's critical points
+    but a stronger gradient when the adversary is confident the map is fake.
 
     modified_update: mce + lam * bce(a(x, s(x)), 1)
     original:        mce - lam * bce(a(x, s(x)), 0)
     """
     loss = mce_loss(seg_out, target_onehot, mask)
-    if cfg.lam == 0.0:
+    if lam == 0.0:
         return loss
     if adv_on_pred is None:
         raise ValueError("adversary output required when lambda > 0")
-    if cfg.modified_update:
-        return loss + mul(bce_loss(adv_on_pred, 1), cfg.lam)
-    return loss - mul(bce_loss(adv_on_pred, 0), cfg.lam)
+    if modified_update:
+        return loss + mul(bce_loss(adv_on_pred, 1), lam)
+    return loss - mul(bce_loss(adv_on_pred, 0), lam)
 

@@ -67,6 +67,9 @@ class SceneSpec:
             if not 0 <= getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be >= 0 and finite, "
                                  f"got {getattr(self, key)}")
+        for key in ("seed", "void_border_px", "void_ribbon_px"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         self.colors()  # a class count the palette cannot separate raises here
 
     def colors(self) -> tuple:

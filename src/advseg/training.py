@@ -23,12 +23,15 @@ scenes' image memory.
 
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
 defaults to off: warming the adversary up first destabilizes training.
+
+A ``TrainConfig`` is the one description of a run; ``grid_search`` trains a
+list of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -37,7 +40,7 @@ from . import networks as N
 from .encodings import EncodingKind, build_adv_pair, downsample, one_hot
 from .labelmap import void_mask
 from .layers import local_contrast_normalize
-from .losses import ObjectiveConfig, adversary_objective, segmenter_objective
+from .losses import adversary_objective, segmenter_objective
 from .metrics import BFConfig, evaluate_split, fmt, image_diagonal, report_values
 from .tensor import Tensor, backward, mul
 
@@ -78,6 +81,8 @@ class TrainConfig:
             raise ValueError("scheme must be 'fast' or 'slow'")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.eval_every < 1:
@@ -206,7 +211,6 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
     if player is None:
         player = player_for_iteration(state.iteration, cfg.effective_block_len)
     b = len(batch.images)
-    obj_cfg = ObjectiveConfig(lam=cfg.lam, modified_update=cfg.modified_update)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if player == SEGMENTER:
@@ -219,7 +223,8 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                 adv_on_pred = N.forward(state.adv_spec,
                                         N.detach_params(state.adv_params), pred)
             loss = mul(segmenter_objective(probs, batch.target_onehot, batch.mask,
-                                           adv_on_pred, obj_cfg), 1.0 / b)
+                                           adv_on_pred, cfg.lam, cfg.modified_update),
+                       1.0 / b)
             loss_val = loss.item()
             if math.isfinite(loss_val):
                 backward(loss)
@@ -366,10 +371,10 @@ def record_log_text(record: RunRecord) -> str:
 
 
 def _rank_key(entry):
-    cfg, record = entry
+    _, record = entry
     diverged = record.status != "completed"
     mbf = record.best_val_mbf if record.best_val_mbf is not None else -1.0
-    return (diverged, -record.best_val_miou, -mbf, (cfg.slr, cfg.alr, cfg.lam))
+    return (diverged, -record.best_val_miou, -mbf)
 
 
 _grid_dataset = None  # the dataset of a grid worker process
@@ -384,15 +389,12 @@ def _grid_worker(cfg):
     return cfg, train_run(cfg, _grid_dataset)
 
 
-def grid_search(base_cfg: TrainConfig, dataset, slr_values, alr_values,
-                lambda_values, jobs: int = 1):
-    """Cross product of the listed values; selection by best validation
-    mIoU, ties by mBF then lexicographically smallest (slr, alr, lambda).
-    Diverged runs rank last. Runs ``min(jobs, runs)`` worker processes,
-    each handed the dataset once when it starts, and in this process when
-    that is 1. Returns (best entry, all entries)."""
-    configs = [replace(base_cfg, slr=s, alr=a, lam=l)
-               for s in slr_values for a in alr_values for l in lambda_values]
+def grid_search(configs, dataset, jobs: int = 1):
+    """Train each of ``configs``; selection by best validation mIoU, ties by
+    mBF, then the earlier config. Diverged runs rank last. Runs
+    ``min(jobs, runs)`` worker processes, each handed the dataset once when
+    it starts, and in this process when that is 1. Returns (best entry,
+    the (config, record) entries in the order of ``configs``)."""
     if not configs:
         raise ValueError("empty grid")
     workers = min(jobs, len(configs))
@@ -403,5 +405,4 @@ def grid_search(base_cfg: TrainConfig, dataset, slr_values, alr_values,
             entries = list(pool.map(_grid_worker, configs))
     else:
         entries = [(c, train_run(c, dataset)) for c in configs]
-    ranked = sorted(entries, key=_rank_key)
-    return ranked[0], entries
+    return min(entries, key=_rank_key), entries

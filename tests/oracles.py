@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from advseg.losses import ObjectiveConfig, bce_loss, mce_loss
+from advseg.losses import bce_loss, mce_loss
 from advseg.metrics import boundary_mask
 from advseg.networks import NetSpec, rf_geometry
 from advseg.tensor import Tensor, mul
@@ -238,15 +238,14 @@ def min_kl_given_floor(s, true_class, tau):
 
 
 def hybrid_loss(seg_out: Tensor, target_onehot, mask,
-                adv_on_gt: Tensor, adv_on_pred: Tensor,
-                cfg: ObjectiveConfig) -> Tensor:
+                adv_on_gt: Tensor, adv_on_pred: Tensor, lam: float) -> Tensor:
     """The combined two-player loss (training uses the two split
     objectives): sum_n mce - lam * [bce(a_gt, 1) + bce(a_pred, 0)]."""
     loss = mce_loss(seg_out, target_onehot, mask)
-    if cfg.lam == 0.0:
+    if lam == 0.0:
         return loss
     bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
-    return loss - mul(bracket, cfg.lam)
+    return loss - mul(bracket, lam)
 
 
 def affected_outputs(spec: NetSpec, pixel: int, out_extent: int) -> tuple[int, int]:

@@ -17,7 +17,6 @@ from advseg.encodings import EncodingKind, build_adv_pair, encode_scaling, one_h
 from advseg.gradcheck import TOLERANCE, run_suite
 from advseg.labelmap import VOID, void_mask
 from advseg.losses import (
-    ObjectiveConfig,
     adversary_objective,
     bce_loss,
     mce_loss,
@@ -84,7 +83,7 @@ def test_criterion_2_objective_identities():
         target = one_hot(rng.integers(0, 3, size=(2, 4, 4)), 3)
         mask = (rng.uniform(size=(2, 4, 4)) > 0.2).astype(float)
         adv = Tensor(rng.uniform(0.1, 0.9, size=(2, 1, 2, 2)))
-        h = hybrid_loss(pred, target, mask, adv, adv, ObjectiveConfig(lam=0.0)).item()
+        h = hybrid_loss(pred, target, mask, adv, adv, 0.0).item()
         m = mce_loss(pred, target, mask).item()
         max_a = max(max_a, abs(h - m))
 
@@ -97,8 +96,7 @@ def test_criterion_2_objective_identities():
         mask = np.ones((2, 4, 4))
         adv_gt = Tensor(rng.uniform(0.05, 0.95, size=(2, 1, 2, 2)))
         adv_pred = Tensor(rng.uniform(0.05, 0.95, size=(2, 1, 2, 2)))
-        cfg = ObjectiveConfig(lam=lam)
-        h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, cfg).item()
+        h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, lam).item()
         m = mce_loss(pred, target, mask).item()
         a = adversary_objective(adv_gt, adv_pred).item()
         max_b = max(max_b, abs(a - (-(h - m) / lam)))
@@ -277,7 +275,6 @@ def test_criterion_6_void_pixel_isolation():
     mask = void_mask(labels)
     adv = build_adversary(3 * c, "small", "light")
     adv_params = init_params(adv, 3)
-    obj = ObjectiveConfig(lam=1.0)
 
     def all_losses(seg_arr, img_arr):
         seg = Tensor(seg_arr, requires_grad=True)
@@ -285,10 +282,10 @@ def test_criterion_6_void_pixel_isolation():
         a_gt = forward(adv, adv_params, gt)
         a_pred = forward(adv, adv_params, pred)
         vals = (mce_loss(seg, target, mask).item(),
-                segmenter_objective(seg, target, mask, a_pred, obj).item(),
+                segmenter_objective(seg, target, mask, a_pred, 1.0, True).item(),
                 adversary_objective(a_gt, Tensor(a_pred.data)).item(),
-                hybrid_loss(seg, target, mask, a_gt, a_pred, obj).item())
-        loss = segmenter_objective(seg, target, mask, a_pred, obj)
+                hybrid_loss(seg, target, mask, a_gt, a_pred, 1.0).item())
+        loss = segmenter_objective(seg, target, mask, a_pred, 1.0, True)
         backward(loss)
         return vals, seg.grad.copy()
 

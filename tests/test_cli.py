@@ -331,6 +331,34 @@ def test_grid_cli(tmp_path, data_dir):
     assert all("val_miou=" in line for line in lines)
 
 
+def test_grid_writes_the_same_log_and_best_line_whatever_the_value_order(
+        tmp_path, capsys, data_dir):
+    outputs = []
+    for slrs in ("0.001,0.002", "0.002,0.001"):
+        out = tmp_path / slrs
+        assert run("grid", "--data", str(data_dir), "--out", str(out), *SMALL_NET,
+                   "--set", "max_iters=2", "--set", "eval_every=2",
+                   "--slr", slrs, "--alr", "0.05", "--lam", "0.0,1.0") == 0
+        outputs.append(((out / "grid.log").read_text(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith("best: ")
+
+
+def test_grid_breaks_exact_ties_to_the_smallest_slr_alr_lambda(tmp_path, capsys,
+                                                               data_dir, monkeypatch):
+    def tied(cfg, dataset):
+        record = cli.TR.RunRecord()
+        record.best_val_miou, record.best_val_mbf = 0.5, 0.25
+        return record
+
+    monkeypatch.setattr(cli.TR, "train_run", tied)
+    assert run("grid", "--data", str(data_dir), "--out", str(tmp_path / "grid"),
+               *SMALL_NET, "--slr", "0.02,0.01", "--alr", "0.2,0.05",
+               "--lam", "1.0,0.0") == 0
+    assert capsys.readouterr().out == ("best: slr=0.01 alr=0.05 lambda=0 "
+                                       "val_miou=0.500000\n")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     code = run("gen-data", "--out", str(tmp_path / "d"), "--set", "tpyo=3")
     assert code == cli.EXIT_FAIL
@@ -459,6 +487,13 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("gen-data", ["--set", "texture_amp=inf"]),
     ("gen-data", ["--set", "texture_amp=-0.1"]),
     ("gen-data", ["--set", "texture_amp=nan"]),
+    ("gen-data", ["--set", "data_seed=-1"]),
+    ("gen-data", ["--set", "n_train=-1"]),
+    ("gen-data", ["--set", "void_border_px=-1"]),
+    ("gen-data", ["--set", "void_ribbon_px=-1"]),
+    ("train", ["--set", "seed=-1"]),
+    ("grid", ["--set", "seed=-1", "--slr", "0.001", "--alr", "0.05",
+              "--lam", "0.0"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):

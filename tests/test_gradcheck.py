@@ -5,7 +5,7 @@ import advseg.gradcheck as G
 import advseg.networks as N
 import advseg.tensor as T
 from advseg.encodings import EncodingKind, build_adv_pair
-from advseg.losses import ObjectiveConfig, adversary_objective, segmenter_objective
+from advseg.losses import adversary_objective, segmenter_objective
 from advseg.networks import forward
 from advseg.tensor import backward, grad_check
 
@@ -17,7 +17,6 @@ def _whole_composition_losses(instance):
     cases, every other parameter is detached, so each op's rule is asked
     for the gradients of the same operands."""
     seg, adv, seg_params, adv_params, x, labels = instance
-    cfg = ObjectiveConfig(lam=1.0, modified_update=True)
     target = np.stack([labels == 0, labels == 1], axis=1).astype(np.float64)
     mask = np.ones((1, 4, 4))
     basic = EncodingKind("basic")
@@ -30,7 +29,7 @@ def _whole_composition_losses(instance):
             probs = forward(seg, params, x)
             _, pred = build_adv_pair(None, labels, probs, basic)
             grid = forward(adv, adv_fixed, pred)
-            return segmenter_objective(probs, target, mask, grid, cfg)
+            return segmenter_objective(probs, target, mask, grid, 1.0, True)
         return f
 
     probs_const = forward(seg, seg_params, x).detach()

@@ -5,7 +5,6 @@ import pytest
 
 from advseg.labelmap import VOID, void_mask
 from advseg.losses import (
-    ObjectiveConfig,
     adversary_objective,
     apply_void_zeroing,
     bce_loss,
@@ -87,8 +86,7 @@ def test_hybrid_reduces_to_mce_at_lambda_zero():
     target = target.astype(float)
     mask = np.ones((2, 4, 4))
     adv = Tensor(np.full((2, 1, 2, 2), 0.7))
-    cfg = ObjectiveConfig(lam=0.0)
-    h = hybrid_loss(pred, target, mask, adv, adv, cfg).item()
+    h = hybrid_loss(pred, target, mask, adv, adv, 0.0).item()
     m = mce_loss(pred, target, mask).item()
     assert h == m
 
@@ -101,8 +99,7 @@ def test_hybrid_with_uninformed_adversary():
     target[:, 0] = 1.0
     mask = np.ones((n, 2, 2))
     adv = Tensor(np.full((n, 1, 1, 1), 0.5))
-    cfg = ObjectiveConfig(lam=1.0)
-    h = hybrid_loss(pred, target, mask, adv, adv, cfg).item()
+    h = hybrid_loss(pred, target, mask, adv, adv, 1.0).item()
     m = mce_loss(pred, target, mask).item()
     assert abs(h - (m - 2 * LN2 * n)) < 1e-9
 
@@ -115,8 +112,7 @@ def test_hybrid_with_perfect_adversary():
     mask = np.ones((1, 2, 2))
     adv_gt = Tensor(np.full((1, 1, 1, 1), 1.0 - 1e-7))
     adv_pred = Tensor(np.full((1, 1, 1, 1), 1e-7))
-    cfg = ObjectiveConfig(lam=1.0)
-    h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, cfg).item()
+    h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, 1.0).item()
     m = mce_loss(pred, target, mask).item()
     assert abs(h - m) < 1e-6
 
@@ -143,8 +139,7 @@ def test_adversary_objective_zero_sum_with_hybrid_bracket():
         mask = np.ones((2, 2, 2))
         adv_gt = Tensor(rng.uniform(0.01, 0.99, size=(2, 1, 1, 1)))
         adv_pred = Tensor(rng.uniform(0.01, 0.99, size=(2, 1, 1, 1)))
-        cfg = ObjectiveConfig(lam=lam)
-        h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, cfg).item()
+        h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, lam).item()
         m = mce_loss(pred, target, mask).item()
         a = adversary_objective(adv_gt, adv_pred).item()
         assert abs(a - (-(h - m) / lam)) < 1e-12
@@ -159,7 +154,7 @@ def test_segmenter_objective_lambda_zero_matches_mce_gradient():
     from advseg.layers import channel_softmax
 
     backward(segmenter_objective(channel_softmax(logits), target, mask, None,
-                                 ObjectiveConfig(lam=0.0)))
+                                 0.0, True))
     g1 = logits.grad.copy()
     logits.zero_grad()
     backward(mce_loss(channel_softmax(logits), target, mask))
@@ -175,10 +170,8 @@ def test_segmenter_objective_surrogate_values_at_half():
     adv = Tensor(np.full((1, 1, 1, 1), 0.5))
     m = mce_loss(pred, target, mask).item()
     lam = 0.7
-    modified = segmenter_objective(pred, target, mask, adv,
-                                   ObjectiveConfig(lam=lam, modified_update=True)).item()
-    original = segmenter_objective(pred, target, mask, adv,
-                                   ObjectiveConfig(lam=lam, modified_update=False)).item()
+    modified = segmenter_objective(pred, target, mask, adv, lam, True).item()
+    original = segmenter_objective(pred, target, mask, adv, lam, False).item()
     assert abs(modified - (m + lam * LN2)) < 1e-12
     assert abs(original - (m - lam * LN2)) < 1e-12
 
@@ -235,20 +228,14 @@ def test_losses_grad_checks():
     assert grad_check(lambda t: bce_loss(t, 0), grid) < 1e-4
 
 
-def test_objective_config_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        ObjectiveConfig(lam=-0.1)
-
-
 def test_objectives_finite_under_extreme_inputs():
     pred = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     target = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
     mask = np.ones((1, 1))
     adv = Tensor(np.zeros((1, 1, 1, 1)))
-    cfg = ObjectiveConfig(lam=2.0)
     for v in (mce_loss(pred, target, mask),
-              segmenter_objective(pred, target, mask, adv, cfg),
-              hybrid_loss(pred, target, mask, adv, adv, cfg)):
+              segmenter_objective(pred, target, mask, adv, 2.0, True),
+              hybrid_loss(pred, target, mask, adv, adv, 2.0)):
         assert np.isfinite(v.item())
 
 

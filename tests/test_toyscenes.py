@@ -96,6 +96,7 @@ def test_scene_spec_rejects_class_counts_it_cannot_draw():
     dict(noise_sigma=float("inf")),
     dict(texture_amp=-0.1), dict(texture_amp=float("nan")),
     dict(texture_amp=float("inf")),
+    dict(seed=-1), dict(void_border_px=-1), dict(void_ribbon_px=-1),
 ])
 def test_scene_spec_rejects_values_it_cannot_draw(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):

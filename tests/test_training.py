@@ -1,5 +1,6 @@
 import resource
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def tiny_dataset(n_train=4, n_val=2, seed=0, **kw):
     spec = SceneSpec(height=16, width=16, num_classes=3, seed=seed,
                      shape_extent_min=4, shape_extent_max=8, **kw)
     return make_dataset(spec, n_train, n_val)
+
+
+def grid_configs(base, slrs, alrs, lams):
+    """``base`` at every (slr, alr, lambda) of the cross product."""
+    return [replace(base, slr=s, alr=a, lam=l) for s in slrs for a in alrs for l in lams]
 
 
 def params_bytes(params):
@@ -383,12 +389,13 @@ def test_pretrain_flag_runs_extra_adversary_iterations():
 def test_grid_search_single_point_and_selection():
     ds = tiny_dataset()
     base = tiny_cfg(max_iters=3, eval_every=3)
-    best, entries = grid_search(base, ds, [0.01], [0.05], [0.0])
+    best, entries = grid_search(grid_configs(base, [0.01], [0.05], [0.0]), ds)
     assert len(entries) == 1
     assert best[0].slr == 0.01
 
-    best, entries = grid_search(base, ds, [0.005, 0.02], [0.05, 0.1], [0.0, 1.0])
-    assert len(entries) == 8
+    configs = grid_configs(base, [0.005, 0.02], [0.05, 0.1], [0.0, 1.0])
+    best, entries = grid_search(configs, ds)
+    assert [cfg for cfg, _ in entries] == configs
     # selection must agree with an exhaustive re-scan of recorded mIoUs
     assert best[1].best_val_miou == max(r.best_val_miou for _, r in entries)
 
@@ -411,10 +418,11 @@ def test_grid_search_ranks_diverged_last(monkeypatch):
         return rec
 
     monkeypatch.setattr(tr, "train_run", fake_run)
-    best, entries = tr.grid_search(base, ds, [0.01, 5.0], [0.05, 0.2], [0.0])
+    best, entries = tr.grid_search(grid_configs(base, [0.01, 5.0], [0.05, 0.2], [0.0]), ds)
     assert len(entries) == 4
     assert best[0].slr == 0.01 and best[0].alr == 0.2
-    # tie on miou broken by mbf, then lexicographic (slr, alr, lam)
+
+    # a tie on mIoU is broken by mBF
     def run2(cfg, dataset):
         rec = tr.RunRecord()
         rec.best_val_miou = 0.5
@@ -422,13 +430,34 @@ def test_grid_search_ranks_diverged_last(monkeypatch):
         return rec
 
     monkeypatch.setattr(tr, "train_run", run2)
-    best, _ = tr.grid_search(base, ds, [0.02, 0.01], [0.05, 0.2], [0.0])
-    assert best[0].alr == 0.05 and best[0].slr == 0.01
+    best, _ = tr.grid_search(grid_configs(base, [0.01], [0.2, 0.05], [0.0]), ds)
+    assert best[0].alr == 0.05
+
+
+def test_grid_search_over_seeds_keeps_list_order_and_ties_go_to_the_earlier(monkeypatch):
+    import advseg.training as tr
+
+    ds = tiny_dataset()
+    configs = [tiny_cfg(max_iters=2, eval_every=2, seed=seed) for seed in (2, 0, 1)]
+    _, entries = grid_search(configs, ds)
+    assert [cfg for cfg, _ in entries] == configs
+    for cfg, record in entries:
+        assert record.loss_history == train_run(cfg, ds).loss_history
+
+    def tied(cfg, dataset):
+        rec = tr.RunRecord()
+        rec.best_val_miou, rec.best_val_mbf = 0.5, 0.25
+        return rec
+
+    monkeypatch.setattr(tr, "train_run", tied)
+    for order in (configs, configs[::-1]):
+        best, _ = tr.grid_search(order, ds)
+        assert best[0] is order[0]
 
 
 def test_grid_search_empty_errors():
     with pytest.raises(ValueError):
-        grid_search(tiny_cfg(), tiny_dataset(), [], [0.1], [0.0])
+        grid_search([], tiny_dataset())
 
 
 def test_two_branch_encoding_trains():
@@ -467,7 +496,7 @@ def test_config_validation():
                 dict(num_classes=3, encoding=EncodingKind("scaling", tau=0.3)),
                 dict(lam=-1.0), dict(lam=float("nan")), dict(lam=float("inf")),
                 dict(slr=float("nan")), dict(alr=float("nan")),
-                dict(slr=float("inf")), dict(alr=float("inf"))):
+                dict(slr=float("inf")), dict(alr=float("inf")), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(max_iters=0, lcn_window=3)
@@ -540,18 +569,19 @@ def test_grid_search_starts_no_more_workers_than_runs(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(tr, "train_run", lambda cfg, dataset: tr.RunRecord())
     ds, base = tiny_dataset(), tiny_cfg()
-    _, entries = tr.grid_search(base, ds, [0.01, 0.02], [0.05], [0.0], jobs=64)
+    _, entries = tr.grid_search(grid_configs(base, [0.01, 0.02], [0.05], [0.0]), ds,
+                                jobs=64)
     assert len(entries) == 2 and started == [2]
-    _, entries = tr.grid_search(base, ds, [0.01], [0.05], [0.0], jobs=3)
+    _, entries = tr.grid_search([base], ds, jobs=3)
     assert len(entries) == 1 and started == [2]  # one run: in this process
 
 
 def test_grid_search_worker_processes_match_one_process():
     ds = tiny_dataset()
     base = tiny_cfg(max_iters=2, eval_every=2)
-    grids = [0.01, 0.02], [0.05], [1.0]
-    _, serial = grid_search(base, ds, *grids, jobs=1)
-    _, pooled = grid_search(base, ds, *grids, jobs=2)
+    configs = grid_configs(base, [0.01, 0.02], [0.05], [1.0])
+    _, serial = grid_search(configs, ds, jobs=1)
+    _, pooled = grid_search(configs, ds, jobs=2)
     assert [cfg for cfg, _ in pooled] == [cfg for cfg, _ in serial]
     for (_, a), (_, b) in zip(serial, pooled):
         assert a.rows == b.rows and a.status == b.status
@@ -573,8 +603,8 @@ def test_grid_search_hands_each_worker_the_dataset_at_most_once(monkeypatch):
     monkeypatch.setattr(Dataset, "__reduce_ex__", counted, raising=False)
     ds = tiny_dataset()
     base = tiny_cfg(max_iters=1, eval_every=1, lam=0.0)
-    _, entries = grid_search(base, ds, [0.01, 0.02, 0.03, 0.04], [0.05], [0.0],
-                             jobs=2)
+    _, entries = grid_search(grid_configs(base, [0.01, 0.02, 0.03, 0.04], [0.05], [0.0]),
+                             ds, jobs=2)
     assert len(entries) == 4 and all(r.status == "completed" for _, r in entries)
     # before, every run's (cfg, dataset) pair went through the pool's pipe
     assert len(pickled) <= 2
