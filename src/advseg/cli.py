@@ -2,13 +2,17 @@
 
 Subcommands: gen-data, train, eval, gradcheck, export-maps, grid. Behavior
 is controlled by a flat ``key = value`` config file ('#' starts a comment)
-plus repeatable ``--set key=value`` overrides, which win. The effective
-config is echoed into the output directory so any run can be reproduced
-from its artifacts alone; ``eval`` and ``export-maps`` read the class count,
-the segmenter's width and depth and the preprocessing back from the echo
-next to the checkpoint and rebuild the segmenter from them, as training
-built it. Outputs are deterministic: no timestamps, stable ordering, fixed
-float formatting.
+plus repeatable ``--set key=value`` overrides, which win. The keys are the
+fields of ``SceneSpec``, ``EncodingKind`` and ``TrainConfig``, which own
+their defaults and types (``data_seed`` is the scenes' seed, ``encoding``
+the encoding's kind, ``lambda`` is ``lam``), plus ``n_train``, ``n_val``,
+``n_test``, ``splits`` and ``export_count``. The effective config is echoed
+into the output directory so any run can be reproduced from its artifacts
+alone; ``eval`` and ``export-maps`` read the class count, the segmenter's
+width and depth and the preprocessing back from the echo next to the
+checkpoint and rebuild the segmenter from them, as training built it.
+Outputs are deterministic: no timestamps, stable ordering, fixed float
+formatting.
 
 Exit codes: 0 success, 1 validation/oracle failure, 2 divergence abort,
 3 I/O errors (a truncated or corrupt checkpoint or dataset among them).
@@ -20,9 +24,10 @@ import argparse
 import itertools
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,30 +37,33 @@ from . import networks as N
 from . import toyscenes as D
 from . import training as TR
 from .encodings import EncodingKind
+from .labelmap import VOID
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_DIVERGED = 2
 EXIT_IO = 3
 
+# config key -> field name; the dataclasses own every default and type
+SCENE_KEYS = {("data_seed" if name == "seed" else name): name
+              for name in ("height", "width", "num_classes", "noise_sigma",
+                           "texture_amp", "void_border_px", "void_ribbon_px", "seed")}
+ENCODING_KEYS = {"encoding": "kind", "tau": "tau", "include_image": "include_image"}
+TRAIN_KEYS = {("lambda" if f.name == "lam" else f.name): f.name
+              for f in fields(TR.TrainConfig) if f.name != "encoding"}
+
+
+def _config_text(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 DEFAULTS = {
-    # data generation
-    "height": "64", "width": "64", "num_classes": "4",
-    "n_train": "64", "n_val": "16", "n_test": "16",
-    "noise_sigma": "0.03", "texture_amp": "0.12",
-    "void_border_px": "1", "void_ribbon_px": "1",
-    "data_seed": "0",
-    # training
-    "slr": "0.02", "alr": "0.1", "lambda": "0.0",
-    "scheme": "fast", "block_len": "500",
-    "batch_size": "4", "max_iters": "500", "seed": "0",
-    "encoding": "basic", "tau": "0.9", "include_image": "false",
-    "modified_update": "true", "eval_every": "250",
-    "channels_base": "16", "n_context_layers": "4",
-    "adversary_fov": "large", "adversary_capacity": "full",
-    "lcn_window": "0", "pretrain_adversary_iters": "0",
-    # eval / export
-    "splits": "val", "export_count": "4",
+    **{key: _config_text(getattr(default, name))
+       for default, keys in ((D.SceneSpec(), SCENE_KEYS), (EncodingKind(), ENCODING_KEYS),
+                             (TR.TrainConfig(), TRAIN_KEYS))
+       for key, name in keys.items()},
+    # read by one command each, held by no dataclass
+    "n_train": "64", "n_val": "16", "n_test": "16", "splits": "val", "export_count": "4",
 }
 
 # class index -> overlay color (shared by export-maps and any viewer)
@@ -117,7 +125,7 @@ def _bool(v: str) -> bool:
         return True
     if v.lower() in ("false", "0", "no"):
         return False
-    raise CliError(f"expected boolean, got {v!r}", EXIT_FAIL)
+    raise ValueError(f"expected boolean, got {v!r}")
 
 
 @contextmanager
@@ -130,37 +138,23 @@ def _config_values():
         raise CliError(f"invalid config value: {e}", EXIT_FAIL) from None
 
 
-def scene_spec_from(cfg: dict) -> D.SceneSpec:
+def _from_config(cls, keys: dict, cfg: dict, **values):
+    """``cls(**values)`` plus each field in ``keys``, parsed from its key's
+    value as the field's annotation says: bool by ``_bool``, else the type."""
+    types = get_type_hints(cls)
     with _config_values():
-        return D.SceneSpec(
-            height=int(cfg["height"]), width=int(cfg["width"]),
-            num_classes=int(cfg["num_classes"]),
-            noise_sigma=float(cfg["noise_sigma"]),
-            texture_amp=float(cfg["texture_amp"]),
-            void_border_px=int(cfg["void_border_px"]),
-            void_ribbon_px=int(cfg["void_ribbon_px"]),
-            seed=int(cfg["data_seed"]),
-        )
+        for key, name in keys.items():
+            values[name] = (_bool if types[name] is bool else types[name])(cfg[key])
+        return cls(**values)
+
+
+def scene_spec_from(cfg: dict) -> D.SceneSpec:
+    return _from_config(D.SceneSpec, SCENE_KEYS, cfg)
 
 
 def train_config_from(cfg: dict) -> TR.TrainConfig:
-    with _config_values():
-        enc = EncodingKind(cfg["encoding"], tau=float(cfg["tau"]),
-                           include_image=_bool(cfg["include_image"]))
-        return TR.TrainConfig(
-            slr=float(cfg["slr"]), alr=float(cfg["alr"]), lam=float(cfg["lambda"]),
-            scheme=cfg["scheme"], block_len=int(cfg["block_len"]),
-            batch_size=int(cfg["batch_size"]), max_iters=int(cfg["max_iters"]),
-            seed=int(cfg["seed"]), encoding=enc,
-            modified_update=_bool(cfg["modified_update"]),
-            eval_every=int(cfg["eval_every"]), num_classes=int(cfg["num_classes"]),
-            channels_base=int(cfg["channels_base"]),
-            n_context_layers=int(cfg["n_context_layers"]),
-            adversary_fov=cfg["adversary_fov"],
-            adversary_capacity=cfg["adversary_capacity"],
-            lcn_window=int(cfg["lcn_window"]),
-            pretrain_adversary_iters=int(cfg["pretrain_adversary_iters"]),
-        )
+    return _from_config(TR.TrainConfig, TRAIN_KEYS, cfg,
+                        encoding=_from_config(EncodingKind, ENCODING_KEYS, cfg))
 
 
 def _prepare_out_dir(cfg: dict, out: str) -> Path:
@@ -175,10 +169,11 @@ def _prepare_out_dir(cfg: dict, out: str) -> Path:
 
 def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Dataset:
     """The dataset in ``path``, which must suit ``tcfg``: the same class
-    count, each of ``splits`` non-empty, an LCN window that fits in every
-    image, and extents that the segmenter pools evenly, and at any lambda
-    > 0 in ``lams`` the adversary after it as well. A file that does not
-    parse is a corrupt dataset (exit 3)."""
+    count, each of ``splits`` holding a labelled pixel, an LCN window that
+    fits in the images, and extents that the segmenter pools evenly, and at
+    any lambda > 0 in ``lams`` the adversary after it as well. A file that
+    does not parse, or a sample of another extent than ``meta.cfg`` gives,
+    is a corrupt dataset (exit 3)."""
     data_dir = Path(path)
     if not (data_dir / "manifest.txt").exists():
         raise CliError(f"no dataset at {data_dir} (missing manifest.txt)", EXIT_IO)
@@ -194,22 +189,23 @@ def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Data
             raise CliError(f"unknown split {split!r}", EXIT_FAIL)
         if not ds.split(split):
             raise CliError(f"split {split!r} of {data_dir} is empty", EXIT_FAIL)
-    samples = ds.train + ds.val + ds.test
-    extent = min((min(s.image.shape[1:]) for s in samples), default=tcfg.lcn_window)
-    if tcfg.lcn_window > extent:
+        if all(np.all(s.labels == VOID) for s in ds.split(split)):
+            raise CliError(f"split {split!r} of {data_dir} has no labelled pixel",
+                           EXIT_FAIL)
+    h, w = ds.spec.height, ds.spec.width
+    if tcfg.lcn_window > min(h, w):
         raise CliError(f"invalid config value: lcn_window={tcfg.lcn_window} exceeds "
-                       f"the {extent}-pixel extent of the images in {data_dir}",
+                       f"the {min(h, w)}-pixel extent of the images in {data_dir}",
                        EXIT_FAIL)
     seg_spec, adv_spec = TR.network_specs(tcfg)
     nets, stride = "the segmenter", N.receptive_field(seg_spec)[2]
     if any(lam > 0 for lam in lams):
         nets += " and adversary at lambda > 0"
         stride *= N.receptive_field(adv_spec)[2]
-    for h, w in sorted({s.image.shape[1:] for s in samples}):
-        if h % stride or w % stride:
-            raise CliError(f"the {h}x{w} images in {data_dir} do not pool evenly: "
-                           f"extents must be multiples of {stride}, the total "
-                           f"stride of {nets}", EXIT_FAIL)
+    if h % stride or w % stride:
+        raise CliError(f"the {h}x{w} images in {data_dir} do not pool evenly: "
+                       f"extents must be multiples of {stride}, the total "
+                       f"stride of {nets}", EXIT_FAIL)
     return ds
 
 

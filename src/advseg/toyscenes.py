@@ -70,6 +70,9 @@ class SceneSpec:
         for key in ("seed", "void_border_px", "void_ribbon_px"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if 2 * self.void_border_px >= min(self.height, self.width):
+            raise ValueError(f"void_border_px={self.void_border_px} leaves no "
+                             f"labelled pixel in {self.height}x{self.width} scenes")
         self.colors()  # a class count the palette cannot separate raises here
 
     def colors(self) -> tuple:
@@ -281,8 +284,8 @@ def save_dataset(ds: Dataset, directory) -> None:
     for split in ("train", "val", "test"):
         for sample in ds.split(split):
             save_sample(sample, directory)
-            lines.append(f"{split} {sample.id}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+            lines.append(f"{split} {sample.id}\n")
+    (directory / "manifest.txt").write_text("".join(lines))
     meta = {
         "height": ds.spec.height, "width": ds.spec.width,
         "num_classes": ds.spec.num_classes, "seed": ds.spec.seed,
@@ -293,8 +296,9 @@ def save_dataset(ds: Dataset, directory) -> None:
 
 def load_dataset(directory) -> Dataset:
     """The dataset that ``save_dataset`` wrote to ``directory``; a malformed
-    ``meta.cfg`` or manifest line, or a sample file that does not parse,
-    raises ValueError."""
+    ``meta.cfg`` or manifest line, a sample file that does not parse, or a
+    sample whose image is not (3, H, W) or whose label map is not (H, W),
+    with H and W from ``meta.cfg``, raises ValueError."""
     directory = Path(directory)
     meta = {}
     for line in (directory / "meta.cfg").read_text().splitlines():
@@ -305,7 +309,7 @@ def load_dataset(directory) -> Dataset:
         raise ValueError(f"meta.cfg does not set {', '.join(sorted(missing))}")
     spec = SceneSpec(height=meta["height"], width=meta["width"],
                      num_classes=meta["num_classes"], seed=meta["seed"])
-    ds = Dataset(spec)
+    ds, extent = Dataset(spec), (spec.height, spec.width)
     for line in (directory / "manifest.txt").read_text().splitlines():
         fields = line.split()
         if not fields:
@@ -314,7 +318,12 @@ def load_dataset(directory) -> Dataset:
             raise ValueError(f"manifest line {line!r} is not '<train|val|test> <id>'")
         split, sample_id = fields
         try:
-            ds.split(split).append(load_sample(directory, sample_id, spec.num_classes))
+            sample = load_sample(directory, sample_id, spec.num_classes)
+            if sample.image.shape != (3, *extent) or sample.labels.shape != extent:
+                raise ValueError(f"image {sample.image.shape} and label map "
+                                 f"{sample.labels.shape}, but meta.cfg says "
+                                 f"{spec.height}x{spec.width}")
         except ValueError as e:
             raise ValueError(f"sample {sample_id}: {e}") from None
+        ds.split(split).append(sample)
     return ds

@@ -390,19 +390,22 @@ def _grid_worker(cfg):
 
 
 def grid_search(configs, dataset, jobs: int = 1):
-    """Train each of ``configs``; selection by best validation mIoU, ties by
-    mBF, then the earlier config. Diverged runs rank last. Runs
-    ``min(jobs, runs)`` worker processes, each handed the dataset once when
-    it starts, and in this process when that is 1. Returns (best entry,
-    the (config, record) entries in the order of ``configs``)."""
+    """Train each distinct config of ``configs`` once; selection by best
+    validation mIoU, ties by mBF, then the earlier config. Diverged runs rank
+    last. Runs ``min(jobs, distinct configs)`` worker processes, each handed
+    the dataset once when it starts, and in this process when that is 1.
+    Returns (best entry, the (config, record) entries in the order of
+    ``configs``, one per listed config: equal configs share a record)."""
     if not configs:
         raise ValueError("empty grid")
-    workers = min(jobs, len(configs))
+    distinct = list(dict.fromkeys(configs))
+    workers = min(jobs, len(distinct))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_grid_init,
                                  initargs=(dataset,)) as pool:
-            entries = list(pool.map(_grid_worker, configs))
+            records = dict(pool.map(_grid_worker, distinct))
     else:
-        entries = [(c, train_run(c, dataset)) for c in configs]
+        records = {c: train_run(c, dataset) for c in distinct}
+    entries = [(c, records[c]) for c in configs]
     return min(entries, key=_rank_key), entries

@@ -1,13 +1,18 @@
 import os
 import shutil
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import advseg.cli as cli
+from advseg.encodings import EncodingKind
+from advseg.labelmap import VOID
 from advseg.tensor import Tensor
-from advseg.toyscenes import read_pgm, read_ppm
+from advseg.toyscenes import (SceneSpec, load_dataset, read_pgm, read_ppm, write_pgm,
+                              write_ppm)
+from advseg.training import TrainConfig
 
 
 def run(*argv):
@@ -52,6 +57,16 @@ def test_gen_data_rerun_identical_bytes(tmp_path, data_dir):
         if name == "config.echo":
             continue
         assert (other / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+
+def test_gen_data_with_no_scenes_writes_an_empty_manifest(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert run("gen-data", "--out", str(out), "--set", "n_train=0",
+               "--set", "n_val=0", "--set", "n_test=0") == 0
+    assert capsys.readouterr().out == f"wrote 0 train / 0 val / 0 test scenes to {out}\n"
+    assert (out / "manifest.txt").read_bytes() == b""
+    ds = load_dataset(out)
+    assert ds.train == ds.val == ds.test == []
 
 
 def test_gen_data_unwritable_dir_fails():
@@ -359,6 +374,47 @@ def test_grid_breaks_exact_ties_to_the_smallest_slr_alr_lambda(tmp_path, capsys,
                                        "val_miou=0.500000\n")
 
 
+def test_defaults_are_the_dataclass_defaults():
+    assert cli.train_config_from(cli.DEFAULTS) == TrainConfig()
+    assert cli.scene_spec_from(cli.DEFAULTS) == SceneSpec()
+
+
+def test_every_config_field_has_exactly_one_key():
+    def names(cls, *skip):
+        return sorted(f.name for f in fields(cls) if f.name not in skip)
+
+    assert sorted(cli.TRAIN_KEYS.values()) == names(TrainConfig, "encoding")
+    assert sorted(cli.ENCODING_KEYS.values()) == names(EncodingKind)
+    # the shape counts, shape extents and colours stay off the CLI
+    assert sorted(cli.SCENE_KEYS.values()) == names(
+        SceneSpec, "n_shapes_min", "n_shapes_max", "shape_extent_min",
+        "shape_extent_max", "base_colors")
+    # num_classes sets both the scenes and the networks
+    assert set(cli.SCENE_KEYS) & set(cli.TRAIN_KEYS) == {"num_classes"}
+    assert not set(cli.ENCODING_KEYS) & (set(cli.SCENE_KEYS) | set(cli.TRAIN_KEYS))
+    command_keys = {"n_train", "n_val", "n_test", "splits", "export_count"}
+    assert set(cli.DEFAULTS) == (set(cli.SCENE_KEYS) | set(cli.ENCODING_KEYS)
+                                 | set(cli.TRAIN_KEYS) | command_keys)
+
+
+def test_a_float_key_given_an_integer_parses_to_a_float():
+    tcfg = cli.train_config_from({**cli.DEFAULTS, "lambda": "1", "tau": "1", "slr": "2"})
+    assert (tcfg.lam, tcfg.encoding.tau, tcfg.slr) == (1.0, 1.0, 2.0)
+    assert all(type(v) is float for v in (tcfg.lam, tcfg.encoding.tau, tcfg.slr))
+
+
+def test_a_value_parses_by_its_field_annotation_not_its_default():
+    @dataclass(frozen=True)
+    class Knobs:
+        rate: float = 0  # an integer default
+        steps: int = 3
+        on: bool = False
+
+    keys = {"rate": "rate", "steps": "steps", "on": "on"}
+    assert cli._from_config(Knobs, keys, {"rate": "0.5", "steps": "4", "on": "yes"}) \
+        == Knobs(0.5, 4, True)
+
+
 def test_unknown_config_key_rejected(tmp_path):
     code = run("gen-data", "--out", str(tmp_path / "d"), "--set", "tpyo=3")
     assert code == cli.EXIT_FAIL
@@ -494,6 +550,10 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     ("train", ["--set", "seed=-1"]),
     ("grid", ["--set", "seed=-1", "--slr", "0.001", "--alr", "0.05",
               "--lam", "0.0"]),
+    ("gen-data", ["--set", "height=16", "--set", "width=16",
+                  "--set", "void_border_px=8"]),
+    ("gen-data", ["--set", "void_border_px=32"]),
+    ("train", ["--set", "include_image=maybe"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):
@@ -614,11 +674,22 @@ def _non_integer_meta(data):
     meta.write_text(meta.read_text().replace("height = 16", "height = x"))
 
 
+def _small_val_labels(data):
+    write_pgm(data / "scene_00004.pgm", np.zeros((8, 8), dtype=np.int64))
+
+
+def _narrow_train_image(data):
+    image = read_ppm(data / "scene_00000.ppm")
+    write_ppm(data / "scene_00000.ppm", image[:, :, :8])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate_train_labels, "truncated netpbm payload"),
     (_truncate_val_image, "truncated netpbm payload"),
     (_bogus_manifest_line, "manifest line 'bogus'"),
     (_non_integer_meta, "invalid literal for int()"),
+    (_small_val_labels, "sample scene_00004: image (3, 16, 16) and label map (8, 8)"),
+    (_narrow_train_image, "sample scene_00000: image (3, 16, 8) and label map (16, 16)"),
 ])
 @pytest.mark.parametrize("command", ["train", "grid", "eval", "export-maps"])
 def test_corrupt_dataset_exits_3_before_writing(tmp_path, capsys, data_dir, run_dir,
@@ -636,6 +707,27 @@ def test_corrupt_dataset_exits_3_before_writing(tmp_path, capsys, data_dir, run_
     err = capsys.readouterr().err
     assert err.startswith(f"error: corrupt dataset in {data}: ")
     assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("command", ["train", "grid", "eval"])
+def test_split_without_a_labelled_pixel_exits_1_before_writing(
+        tmp_path, capsys, data_dir, run_dir, command, split):
+    data = shutil.copytree(data_dir, tmp_path / "data")
+    for line in (data / "manifest.txt").read_text().splitlines():
+        if line.startswith(f"{split} "):
+            write_pgm(data / f"{line.split()[1]}.pgm",
+                      np.full((16, 16), VOID, dtype=np.int64))
+    extra = {"train": [],
+             "grid": ["--slr", "0.001", "--alr", "0.05", "--lam", "0.0"],
+             "eval": ["--ckpt", str(run_dir), "--set", f"splits={split}"]}
+    out = tmp_path / "out"
+    code = run(command, "--data", str(data), "--out", str(out), *SMALL_NET,
+               *extra[command])
+    assert code == cli.EXIT_FAIL
+    assert capsys.readouterr().err == (f"error: split '{split}' of {data} has no "
+                                       "labelled pixel\n")
     assert not out.exists()
 
 

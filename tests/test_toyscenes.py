@@ -103,6 +103,15 @@ def test_scene_spec_rejects_values_it_cannot_draw(bad):
         SceneSpec(**bad)
 
 
+def test_void_border_leaves_a_labelled_pixel():
+    # the border covers 2 * void_border_px rows and columns
+    spec = SceneSpec(height=16, width=17, void_border_px=7, void_ribbon_px=0)
+    labels = generate_scene(spec, 0).labels
+    assert np.sum(labels != VOID) == 2 * 3
+    with pytest.raises(ValueError, match="void_border_px=8 leaves no labelled pixel"):
+        SceneSpec(height=16, width=17, void_border_px=8)
+
+
 def test_smallest_extents_draw_every_scene():
     # 5 is the smallest extent at which generate_scene places a circle
     for extent in (5, 6, 7):

@@ -455,6 +455,29 @@ def test_grid_search_over_seeds_keeps_list_order_and_ties_go_to_the_earlier(monk
         assert best[0] is order[0]
 
 
+def test_grid_search_trains_each_distinct_config_once(monkeypatch):
+    import advseg.training as tr
+
+    trained = []
+
+    def counted(cfg, dataset):
+        trained.append(cfg)
+        rec = tr.RunRecord()
+        rec.best_val_miou = cfg.slr
+        return rec
+
+    monkeypatch.setattr(tr, "train_run", counted)
+    base = tiny_cfg()
+    # -0.0 == 0.0, so those two lambdas are one config
+    configs = grid_configs(base, [0.01, 0.02, 0.01], [0.05, 0.05], [-0.0, 0.0, 1.0])
+    best, entries = tr.grid_search(configs, tiny_dataset())
+    assert len(trained) == len(set(configs)) == 4
+    assert trained == list(dict.fromkeys(configs))
+    assert [cfg for cfg, _ in entries] == configs
+    assert all(record.best_val_miou == cfg.slr for cfg, record in entries)
+    assert best[0] is configs[configs.index(replace(base, slr=0.02, alr=0.05, lam=0.0))]
+
+
 def test_grid_search_empty_errors():
     with pytest.raises(ValueError):
         grid_search([], tiny_dataset())
