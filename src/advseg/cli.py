@@ -167,6 +167,12 @@ def _prepare_out_dir(cfg: dict, out: str) -> Path:
     return out_dir
 
 
+def _unlabelled_split(ds: D.Dataset, splits) -> str | None:
+    """The first non-empty split of ``splits`` without a labelled pixel."""
+    return next((split for split in splits if ds.split(split) and
+                 all(np.all(s.labels == VOID) for s in ds.split(split))), None)
+
+
 def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Dataset:
     """The dataset in ``path``, which must suit ``tcfg``: the same class
     count, each of ``splits`` holding a labelled pixel, an LCN window that
@@ -189,9 +195,9 @@ def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Data
             raise CliError(f"unknown split {split!r}", EXIT_FAIL)
         if not ds.split(split):
             raise CliError(f"split {split!r} of {data_dir} is empty", EXIT_FAIL)
-        if all(np.all(s.labels == VOID) for s in ds.split(split)):
-            raise CliError(f"split {split!r} of {data_dir} has no labelled pixel",
-                           EXIT_FAIL)
+    split = _unlabelled_split(ds, splits)
+    if split:
+        raise CliError(f"split {split!r} of {data_dir} has no labelled pixel", EXIT_FAIL)
     h, w = ds.spec.height, ds.spec.width
     if tcfg.lcn_window > min(h, w):
         raise CliError(f"invalid config value: lcn_window={tcfg.lcn_window} exceeds "
@@ -216,8 +222,13 @@ def cmd_gen_data(args) -> int:
         counts = [int(cfg[key]) for key in ("n_train", "n_val", "n_test")]
         if min(counts) < 0:
             raise ValueError(f"n_train, n_val and n_test must be >= 0, got {counts}")
-    out_dir = _prepare_out_dir(cfg, args.out)
     ds = D.make_dataset(spec, *counts)
+    split = _unlabelled_split(ds, ("train", "val", "test"))
+    if split:
+        raise CliError(f"invalid config value: split {split!r} of the scenes has no "
+                       f"labelled pixel (void_border_px={spec.void_border_px}, "
+                       f"void_ribbon_px={spec.void_ribbon_px})", EXIT_FAIL)
+    out_dir = _prepare_out_dir(cfg, args.out)
     D.save_dataset(ds, out_dir)
     n = len(ds.train), len(ds.val), len(ds.test)
     manifest_rows = len((out_dir / "manifest.txt").read_text().splitlines())

@@ -10,7 +10,11 @@ whole batch, that band's im2col columns into a per-thread scratch buffer
 that is reused from call to call. Each band's ``np.matmul`` writes straight
 into its rows of the result, so the columns stay in cache and are never
 held for the whole output at once (Goto & van de Geijn, "Anatomy of
-High-Performance Matrix Multiplication", ACM TOMS 2008). The forward pass
+High-Performance Matrix Multiplication", ACM TOMS 2008). A 1x1 kernel at
+stride 1 over an unpadded, C-contiguous operand needs no grid: its columns
+are the operand itself, so each band's are a view of the operand's rows,
+and nothing is filled or copied. The bands and their sums stay as they
+are, so this gives the grid's bits. The forward pass
 correlates the padded input with the kernel. When the input needs a
 gradient, backward builds one set of columns, from the output gradient
 zero-dilated by the stride and padded by the effective kernel extent
@@ -111,6 +115,8 @@ def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
     ``place`` is (step, top, left, height, width): the grid is
     (n, c, height, width) and ``a[..., i, j]`` sits at (top + i*step,
     left + j*step). Entries of ``a`` that fall outside the grid are dropped.
+    A 1x1 kernel at stride 1 whose grid is ``a`` as it is reads each band's
+    columns as a view of ``a`` (C-contiguous) and writes no grid.
     """
     step, top, left, height, width = place
     n, c, ah, aw = a.shape
@@ -118,24 +124,27 @@ def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
     wout = conv_out_extent(width, kw, stride, dilation, 0)
     rows = band_rows(wout)
     depth = c * kh * kw
-    n_grid = n * c * height * width
-    n_all = n_grid + n * depth * min(rows, hout) * wout
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < n_all:
-        raw = np.empty(n_all + 7)
-        skip = -raw.ctypes.data % 64 // raw.itemsize
-        buf = _workspace.buf = raw[skip: skip + n_all]
-    grid = buf[:n_grid].reshape(n, c, height, width)
-    grid.fill(0.0)
-    ri, rj = _kept(top, step, ah, height), _kept(left, step, aw, width)
-    if ri.start < ri.stop and rj.start < rj.stop:
-        grid[:, :, top + ri.start * step: top + (ri.stop - 1) * step + 1: step,
-             left + rj.start * step: left + (rj.stop - 1) * step + 1: step] = a[:, :, ri, rj]
-    s3 = buf.itemsize
-    s2 = width * s3
-    windows = np.ndarray((n, c, kh, kw, hout, wout), buf.dtype, buf, 0,
-                         (c * height * s2, height * s2, s2 * dilation,
-                          s3 * dilation, s2 * stride, s3 * stride))
+    as_is = (kh == kw == stride == 1 and place == (1, 0, 0, ah, aw)
+             and a.flags.c_contiguous)
+    if not as_is:
+        n_grid = n * c * height * width
+        n_all = n_grid + n * depth * min(rows, hout) * wout
+        buf = getattr(_workspace, "buf", None)
+        if buf is None or buf.size < n_all:
+            raw = np.empty(n_all + 7)
+            skip = -raw.ctypes.data % 64 // raw.itemsize
+            buf = _workspace.buf = raw[skip: skip + n_all]
+        grid = buf[:n_grid].reshape(n, c, height, width)
+        grid.fill(0.0)
+        ri, rj = _kept(top, step, ah, height), _kept(left, step, aw, width)
+        if ri.start < ri.stop and rj.start < rj.stop:
+            grid[:, :, top + ri.start * step: top + (ri.stop - 1) * step + 1: step,
+                 left + rj.start * step: left + (rj.stop - 1) * step + 1: step] = a[:, :, ri, rj]
+        s3 = buf.itemsize
+        s2 = width * s3
+        windows = np.ndarray((n, c, kh, kw, hout, wout), buf.dtype, buf, 0,
+                             (c * height * s2, height * s2, s2 * dilation,
+                              s3 * dilation, s2 * stride, s3 * stride))
     out = acc = None
     if kernel is not None:
         out = np.empty((n, kernel.shape[0], hout * wout))
@@ -145,8 +154,11 @@ def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
     for r0 in range(0, hout, rows):
         r1 = min(r0 + rows, hout)
         p0, p1 = r0 * wout, r1 * wout
-        cols = buf[n_grid: n_grid + n * depth * (p1 - p0)].reshape(n, depth, p1 - p0)
-        np.copyto(cols.reshape(n, c, kh, kw, r1 - r0, wout), windows[..., r0:r1, :])
+        if as_is:
+            cols = a[:, :, r0:r1, :].reshape(n, depth, p1 - p0)
+        else:
+            cols = buf[n_grid: n_grid + n * depth * (p1 - p0)].reshape(n, depth, p1 - p0)
+            np.copyto(cols.reshape(n, c, kh, kw, r1 - r0, wout), windows[..., r0:r1, :])
         if out is not None:
             np.matmul(kernel, cols, out=out[:, :, p0:p1])
         if acc is not None:

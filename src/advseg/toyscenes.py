@@ -81,8 +81,10 @@ class SceneSpec:
 
 @dataclass(eq=False)
 class Sample:
-    """One scene. Compared and hashed by identity: training keys the frozen
-    segmenter's stored outputs by the sample object."""
+    """One scene. Compared and hashed by identity: training keys two stores
+    by the sample object, the frozen segmenter's outputs and the
+    contrast-normalized images. So a sample is treated as immutable once
+    made; a changed image would not reach either store."""
 
     image: np.ndarray  # (3, H, W) float64 in [0, 1]
     labels: np.ndarray  # (H, W) int64, values in [0, C) or VOID

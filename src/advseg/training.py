@@ -21,6 +21,16 @@ equals the row a full forward of any batch would give, bit for bit. The
 store holds at most one (C, H/2, W/2) map per training scene, C/12 of the
 scenes' image memory.
 
+With ``lcn_window`` set, ``make_batch`` contrast-normalizes each sample
+once, on its first draw at that window, and keeps the result in a second
+store, keyed by the sample object and the window; later draws copy it into
+the batch. This is exact for the same reason: a sample's normalized image
+does not depend on the rest of its batch. The store's keys are weak, so an
+entry lives exactly as long as its sample and nothing in it outlives the
+dataset. It holds one image per training scene and window, as large as the
+scene's own image: 98 KB at 64x64, 6.3 MB for the README's 64 scenes. At
+``lcn_window=0`` it holds nothing, and batches copy the raw images.
+
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
 defaults to off: warming the adversary up first destabilizes training.
 
@@ -31,6 +41,7 @@ list of them.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -160,22 +171,39 @@ def init_state(cfg: TrainConfig) -> TrainState:
     )
 
 
+# Sample -> {lcn_window: its contrast-normalized (3, H, W) image}; weak
+# keys, so an entry goes with its sample
+_normalized = weakref.WeakKeyDictionary()
+
+
 def preprocess_images(images: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     if cfg.lcn_window:
         return local_contrast_normalize(images, cfg.lcn_window)
     return images
 
 
+def _normalized_image(sample, window: int) -> np.ndarray:
+    """``sample``'s contrast-normalized image, computed on its first request
+    at ``window`` and then read from ``_normalized``."""
+    by_window = _normalized.setdefault(sample, {})
+    if window not in by_window:
+        by_window[window] = local_contrast_normalize(sample.image, window)
+    return by_window[window]
+
+
 def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
-    images = np.stack([samples[i].image for i in indices])
-    labels = np.stack([samples[i].labels for i in indices])
-    labels_ds = downsample(labels, stride)
+    drawn = [samples[i] for i in indices]
+    if cfg.lcn_window:
+        images = [_normalized_image(s, cfg.lcn_window) for s in drawn]
+    else:
+        images = [s.image for s in drawn]
+    labels_ds = downsample(np.stack([s.labels for s in drawn]), stride)
     return Batch(
-        images=preprocess_images(images, cfg),
+        images=np.stack(images),
         labels_ds=labels_ds,
         target_onehot=one_hot(labels_ds, cfg.num_classes),
         mask=void_mask(labels_ds),
-        samples=[samples[i] for i in indices],
+        samples=drawn,
     )
 
 

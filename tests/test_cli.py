@@ -554,6 +554,9 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
                   "--set", "void_border_px=8"]),
     ("gen-data", ["--set", "void_border_px=32"]),
     ("train", ["--set", "include_image=maybe"]),
+    # ribbons 8 pixels wide cover every pixel of a 16x16 scene
+    ("gen-data", ["--set", "height=16", "--set", "width=16", "--set", "void_ribbon_px=8",
+                  "--set", "n_train=4", "--set", "n_val=2"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advseg.layers as layers
 from advseg.gradcheck import TOLERANCE, _layer_cases
@@ -344,6 +346,86 @@ def test_conv_bands_large_enough_to_thread_match_einsum(monkeypatch):
     np.testing.assert_allclose(shipped[2], np.einsum("ncijab,noij->ocab", windows, g),
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(shipped[2], whole[2], rtol=1e-12, atol=1e-12)
+
+
+def _strided_copy(a):
+    """The values of ``a`` in an array that is not C-contiguous."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+def _one_by_one_fwd_bwd(x, k, b, g, monkeypatch):
+    """Forward and the three gradients of a 1x1 conv, plus whether the call
+    wrote a zero grid (it starts from an empty scratch buffer)."""
+    monkeypatch.setattr(layers, "_workspace", threading.local())
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    out = conv2d(xt, ConvParams(kt, bt, dilation=2))
+    grads = out.node.backward_fn(g)
+    # the kernel-only gradient reads the input's columns instead
+    frozen = conv2d(Tensor(x), ConvParams(kt, bt)).node.backward_fn(g)[1]
+    return ((out.data,) + grads + (frozen,),
+            hasattr(layers._workspace, "buf"))
+
+
+def test_conv_1x1_reads_its_input_as_columns(monkeypatch):
+    rng = np.random.default_rng(19)
+    x, g = rng.normal(size=(3, 5, 9, 8)), rng.normal(size=(3, 4, 9, 8))
+    k, b = rng.normal(size=(4, 5, 1, 1)), rng.normal(size=4)
+    for band in (1, 17, 10 ** 6):  # one row per band, 2 rows, one band
+        monkeypatch.setattr(layers, "BAND", band)
+        as_is, wrote_grid = _one_by_one_fwd_bwd(x, k, b, g, monkeypatch)
+        assert not wrote_grid
+        # views that are not C-contiguous go through the zero grid
+        grid, wrote_grid = _one_by_one_fwd_bwd(_strided_copy(x), k, b,
+                                               _strided_copy(g), monkeypatch)
+        assert wrote_grid
+        for got, want in zip(as_is, grid):
+            assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(as_is[0], np.einsum("ncij,oc->noij", x, k[:, :, 0, 0])
+                               + b.reshape(1, 4, 1, 1), rtol=1e-12, atol=1e-12)
+
+
+def test_conv_1x1_broadcast_output_gradient_takes_the_grid(monkeypatch):
+    rng = np.random.default_rng(20)
+    xd, kd, bd = (rng.normal(size=(2, 6, 8, 8)), rng.normal(size=(3, 6, 1, 1)),
+                  rng.normal(size=3))
+    grads = []
+    for through_sum in (True, False):
+        monkeypatch.setattr(layers, "_workspace", threading.local())
+        x, k, b = (Tensor(a, requires_grad=True) for a in (xd, kd, bd))
+        out = conv2d(x, ConvParams(k, b))
+        assert not hasattr(layers._workspace, "buf")
+        if through_sum:
+            # reduce_sum's backward hands the rule a broadcast view of ones
+            backward(reduce_sum(out))
+            assert hasattr(layers._workspace, "buf")
+            grads.append((x.grad, k.grad, b.grad))
+        else:
+            grads.append(out.node.backward_fn(np.ones(out.shape)))
+            assert not hasattr(layers._workspace, "buf")
+    for got, want in zip(*grads):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 12),
+       w=st.integers(1, 12), k=st.sampled_from([1, 3]), stride=st.integers(1, 3),
+       dilation=st.integers(1, 3), padding=st.integers(0, 3))
+def test_conv_output_extents_equal_conv_out_extent(n, c, h, w, k, stride,
+                                                   dilation, padding):
+    hout = layers.conv_out_extent(h, k, stride, dilation, padding)
+    wout = layers.conv_out_extent(w, k, stride, dilation, padding)
+    x = Tensor(np.ones((n, c, h, w)), requires_grad=True)
+    p = _params(np.ones((2, c, k, k)), stride=stride, dilation=dilation,
+                padding=padding)
+    if hout < 1 or wout < 1:
+        with pytest.raises(ShapeError, match="non-positive output extent"):
+            conv2d(x, p)
+        return
+    out = conv2d(x, p)
+    assert out.shape == (n, 2, hout, wout)
+    assert out.node.backward_fn(np.ones(out.shape))[0].shape == x.shape
 
 
 def test_conv_scratch_holds_grid_and_one_band():

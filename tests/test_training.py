@@ -1,5 +1,7 @@
+import gc
 import resource
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import advseg.networks as N
 import advseg.tensor as T
+import advseg.training as TR
 from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.layers import local_contrast_normalize
 from advseg.networks import forward, receptive_field
@@ -170,7 +173,6 @@ def test_adversary_turn_builds_no_segmenter_graph(monkeypatch):
 
 
 def test_segmenter_turn_that_raises_leaves_adversary_trainable(monkeypatch):
-    import advseg.training as TR
     state = init_state(tiny_cfg())
     batch = make_batch(tiny_dataset().train, [0, 1], state.cfg,
                        receptive_field(state.seg_spec)[2])
@@ -642,7 +644,6 @@ def _train_run_final_state(cfg, ds, monkeypatch, cold):
     turn when ``cold``. Returns the record, the final state, and the number
     of segmenter rows that adversary turns forwarded and of the distinct
     samples in their batches."""
-    import advseg.training as TR
     real_iteration, real_forward = TR.train_iteration, N.forward
     rows, turn = {"forwarded": 0, "distinct": 0}, {}
 
@@ -774,3 +775,64 @@ def test_segmenter_batch_rows_equal_each_image_alone(
         assert alone.tobytes() == whole[i:i + 1].tobytes()
     tail = forward(spec, params, Tensor(images[1:])).data
     assert tail.tobytes() == whole[1:].tobytes()
+
+
+def _count_lcn(monkeypatch) -> list:
+    """The window of every call that ``make_batch`` makes to local contrast
+    normalization, through the name the training module looks up."""
+    calls = []
+
+    def counted(image, window):
+        calls.append(window)
+        return local_contrast_normalize(image, window)
+
+    monkeypatch.setattr(TR, "local_contrast_normalize", counted)
+    return calls
+
+
+def test_batches_are_contrast_normalized_as_a_stack(monkeypatch):
+    """Each sample is normalized once per window and stored; every batch
+    equals local contrast normalization of its stacked raw images."""
+    ds = tiny_dataset()
+    calls = _count_lcn(monkeypatch)
+    draws = [[0, 1], [1, 0], [2, 2], [3, 1, 3, 0], [0, 1]]  # repeats, duplicates
+    for window in (3, 5):  # two configs over the same samples
+        cfg = tiny_cfg(lcn_window=window)
+        for indices in draws:
+            raw = np.stack([ds.train[i].image for i in indices])
+            batch = make_batch(ds.train, indices, cfg, 2)
+            assert (batch.images.tobytes()
+                    == local_contrast_normalize(raw, window).tobytes())
+    assert calls == [3] * 4 + [5] * 4
+
+
+def test_twenty_batches_over_four_scenes_normalize_four_times(monkeypatch):
+    ds = tiny_dataset()
+    calls = _count_lcn(monkeypatch)
+    cfg = tiny_cfg(lcn_window=3)
+    rng = np.random.default_rng(0)
+    drawn = set()
+    for _ in range(20):
+        indices = rng.choice(4, size=2, replace=False)
+        drawn.update(indices.tolist())
+        make_batch(ds.train, indices, cfg, 2)
+    assert drawn == {0, 1, 2, 3}
+    assert len(calls) == 4
+
+
+def test_no_window_batches_hold_the_raw_pixels_and_store_nothing():
+    ds = tiny_dataset()
+    batch = make_batch(ds.train, [2, 0, 2], tiny_cfg(lcn_window=0), 2)
+    raw = np.stack([ds.train[i].image for i in (2, 0, 2)])
+    assert batch.images.tobytes() == raw.tobytes()
+    assert not any(s in TR._normalized for s in ds.train)
+
+
+def test_a_stored_image_is_freed_with_its_sample():
+    ds = tiny_dataset()
+    batch = make_batch(ds.train, [0, 1], tiny_cfg(lcn_window=3), 2)
+    sample_ref = weakref.ref(ds.train[0])
+    image_ref = weakref.ref(TR._normalized[ds.train[0]][3])
+    del ds, batch
+    gc.collect()
+    assert sample_ref() is None and image_ref() is None
