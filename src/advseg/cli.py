@@ -301,7 +301,7 @@ def cmd_eval(args) -> int:
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     bf_cfg = TR.dataset_bf_config(ds)
-    preprocess = partial(TR.preprocess_images, cfg=tcfg)
+    preprocess = partial(TR.network_input, window=tcfg.lcn_window)
     for split in splits:
         report = M.evaluate_split(spec, params, ds.split(split), tcfg.num_classes,
                                   bf_cfg, stride, preprocess=preprocess)
@@ -339,9 +339,9 @@ def cmd_export_maps(args) -> int:
     out_dir = _prepare_out_dir(cfg, args.out)
     stride = N.receptive_field(spec)[2]
     samples = ds.val[:count]
-    outputs = M.segment(spec, params, samples,
-                        partial(TR.preprocess_images, cfg=tcfg))
-    for sample, (_, probs) in zip(samples, outputs):
+    maps = M.segment(spec, params, samples,
+                     partial(TR.network_input, window=tcfg.lcn_window))
+    for sample, probs in zip(samples, maps):
         probs = probs[0]
         for c in range(probs.shape[0]):
             gray = np.rint(255.0 * probs[c]).astype(np.int64)

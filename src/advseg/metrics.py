@@ -250,21 +250,19 @@ def evaluate_predictions(preds: list, gts: list, num_classes: int,
 
 
 def segment(seg_spec, seg_params, samples, preprocess=None):
-    """Yield ``(image, probs)`` per sample: the (1, 3, H, W) image after
-    ``preprocess`` and the segmenter's (1, C, h, w) output for it, on
-    detached parameters, so no graph is built and ``seg_params`` stay as
-    they are. One image at a time: over 16 images at 64x64 that took
-    49-52 ms and 43 MB ``ru_maxrss``, one batch of 16 took 56 ms and 70 MB."""
+    """Yield the segmenter's (1, C, h, w) output per sample, on detached
+    parameters, so no graph is built and ``seg_params`` stay as they are.
+    Its input is ``preprocess(sample)``, a (3, H, W) array, or
+    ``sample.image`` without a hook. One image at a time: over 16 images at
+    64x64 that took 49-52 ms and 43 MB ``ru_maxrss``, one batch of 16 took
+    56 ms and 70 MB."""
     from .networks import detach_params, forward
     from .tensor import Tensor
 
     params = detach_params(seg_params)
     for sample in samples:
-        image = sample.image[None]
-        if preprocess is not None:
-            image = preprocess(image)
-        probs = forward(seg_spec, params, Tensor(image)).data
-        yield image, probs
+        image = sample.image if preprocess is None else preprocess(sample)
+        yield forward(seg_spec, params, Tensor(image[None])).data
 
 
 def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
@@ -272,11 +270,11 @@ def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
                    preprocess=None, outputs: list | None = None) -> EvalReport:
     """Segment every sample (see ``segment``), argmax + nearest upsample to
     label resolution, and aggregate metrics. If given, ``outputs``
-    receives each sample's ``(image, probs)`` pair."""
+    receives each sample's (1, C, h, w) map."""
     preds = []
-    for image, probs in segment(seg_spec, seg_params, samples, preprocess):
+    for probs in segment(seg_spec, seg_params, samples, preprocess):
         if outputs is not None:
-            outputs.append((image, probs))
+            outputs.append(probs)
         preds.append(predict_labels(probs[0], upsample=stride))
     return evaluate_predictions(preds, [s.labels for s in samples], num_classes, cfg)
 

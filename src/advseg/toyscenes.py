@@ -58,8 +58,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
         if min(self.height, self.width) < 5:  # the smallest that fits a circle
             raise ValueError(f"height and width must be at least 5, got "
                              f"{self.height}x{self.width}")
@@ -136,7 +136,7 @@ def generate_scene(spec: SceneSpec, index: int) -> Sample:
     emin = min(spec.shape_extent_min, emax)
     ii, jj = np.mgrid[0:h, 0:w]
     for _ in range(n_shapes):
-        cls = int(rng.integers(1, spec.num_classes)) if spec.num_classes > 1 else 0
+        cls = int(rng.integers(1, spec.num_classes))
         kind = rng.choice(["rect", "circle"])
         if kind == "rect":
             eh = int(rng.integers(emin, emax + 1))

@@ -21,15 +21,16 @@ equals the row a full forward of any batch would give, bit for bit. The
 store holds at most one (C, H/2, W/2) map per training scene, C/12 of the
 scenes' image memory.
 
-With ``lcn_window`` set, ``make_batch`` contrast-normalizes each sample
-once, on its first draw at that window, and keeps the result in a second
-store, keyed by the sample object and the window; later draws copy it into
-the batch. This is exact for the same reason: a sample's normalized image
-does not depend on the rest of its batch. The store's keys are weak, so an
-entry lives exactly as long as its sample and nothing in it outlives the
-dataset. It holds one image per training scene and window, as large as the
-scene's own image: 98 KB at 64x64, 6.3 MB for the README's 64 scenes. At
-``lcn_window=0`` it holds nothing, and batches copy the raw images.
+``network_input(sample, lcn_window)`` decides what the segmenter sees of a
+scene in training batches, evaluation, adversary accuracy and exported
+maps: its image at ``lcn_window=0``, else its contrast-normalized image,
+computed on the first request and stored under the sample object and the
+window. This is exact for the same reason: a sample's normalized image
+does not depend on the rest of its batch. The store's weak keys let an
+entry live exactly as long as its sample. It holds one image per scene
+drawn or evaluated and window, 98 KB at 64x64, 7.9 MB for the README's 64
+train and 16 val scenes, and nothing at ``lcn_window=0``. Its arrays reach
+``networks.forward`` as views, so nothing may write into a forward's input.
 
 Adversary pre-training is available behind ``pretrain_adversary_iters`` but
 defaults to off: warming the adversary up first destabilizes training.
@@ -127,7 +128,7 @@ def player_for_iteration(iteration: int, block_len: int) -> str:
 
 @dataclass
 class Batch:
-    images: np.ndarray        # (B, 3, H, W), already preprocessed
+    images: np.ndarray        # (B, 3, H, W), each row a ``network_input``
     labels_ds: np.ndarray     # (B, h, w) at segmenter output resolution
     target_onehot: np.ndarray
     mask: np.ndarray
@@ -176,15 +177,12 @@ def init_state(cfg: TrainConfig) -> TrainState:
 _normalized = weakref.WeakKeyDictionary()
 
 
-def preprocess_images(images: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    if cfg.lcn_window:
-        return local_contrast_normalize(images, cfg.lcn_window)
-    return images
-
-
-def _normalized_image(sample, window: int) -> np.ndarray:
-    """``sample``'s contrast-normalized image, computed on its first request
-    at ``window`` and then read from ``_normalized``."""
+def network_input(sample, window: int) -> np.ndarray:
+    """The (3, H, W) array the segmenter sees of ``sample``: its image at
+    ``window=0``, else its contrast-normalized image, computed on the first
+    request at ``window`` and then read from ``_normalized``."""
+    if not window:
+        return sample.image
     by_window = _normalized.setdefault(sample, {})
     if window not in by_window:
         by_window[window] = local_contrast_normalize(sample.image, window)
@@ -193,13 +191,9 @@ def _normalized_image(sample, window: int) -> np.ndarray:
 
 def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
     drawn = [samples[i] for i in indices]
-    if cfg.lcn_window:
-        images = [_normalized_image(s, cfg.lcn_window) for s in drawn]
-    else:
-        images = [s.image for s in drawn]
     labels_ds = downsample(np.stack([s.labels for s in drawn]), stride)
     return Batch(
-        images=np.stack(images),
+        images=np.stack([network_input(s, cfg.lcn_window) for s in drawn]),
         labels_ds=labels_ds,
         target_onehot=one_hot(labels_ds, cfg.num_classes),
         mask=void_mask(labels_ds),
@@ -274,18 +268,19 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
     return state
 
 
-def adversary_accuracy(state: TrainState, samples, outputs) -> tuple[float, float]:
+def adversary_accuracy(state: TrainState, samples, maps) -> tuple[float, float]:
     """Fraction of adversary grid outputs on the correct side of 0.5 for
-    ground-truth and predicted inputs, over ``samples``. ``outputs`` holds
-    each sample's ``(image, probs)`` pair from ``metrics.segment``; the
-    adversary judges them one image at a time on detached parameters, so
-    no graph is built."""
+    ground-truth and predicted inputs, over ``samples``. ``maps`` holds
+    each sample's (1, C, h, w) segmenter output from ``metrics.segment``;
+    the adversary judges them one image at a time on detached parameters,
+    so no graph is built."""
     cfg = state.cfg
     stride = N.receptive_field(state.seg_spec)[2]
     adv_params = N.detach_params(state.adv_params)
     right_gt = right_pred = cells = 0
-    for sample, (image, probs) in zip(samples, outputs):
-        gt, pred = build_adv_pair(image, downsample(sample.labels[None], stride),
+    for sample, probs in zip(samples, maps):
+        gt, pred = build_adv_pair(network_input(sample, cfg.lcn_window)[None],
+                                  downsample(sample.labels[None], stride),
                                   Tensor(probs), cfg.encoding)
         out_gt = N.forward(state.adv_spec, adv_params, gt).data
         out_pred = N.forward(state.adv_spec, adv_params, pred).data
@@ -316,14 +311,14 @@ def _snapshot(params: dict) -> dict:
 def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
     cfg = state.cfg
     stride = N.receptive_field(state.seg_spec)[2]
-    reports, val_outputs = {}, []
+    reports, val_maps = {}, []
     for split in ("train", "val"):
         reports[split] = evaluate_split(
             state.seg_spec, state.seg_params, dataset.split(split),
             cfg.num_classes, bf_cfg, stride,
-            preprocess=partial(preprocess_images, cfg=cfg),
-            outputs=val_outputs if split == "val" else None)
-    acc_gt, acc_pred = (adversary_accuracy(state, dataset.val, val_outputs)
+            preprocess=partial(network_input, window=cfg.lcn_window),
+            outputs=val_maps if split == "val" else None)
+    acc_gt, acc_pred = (adversary_accuracy(state, dataset.val, val_maps)
                         if cfg.lam != 0.0 else (None, None))
     for split, report in reports.items():
         record.rows.append({"iter": state.iteration, "split": split,

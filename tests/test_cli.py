@@ -9,6 +9,7 @@ import pytest
 import advseg.cli as cli
 from advseg.encodings import EncodingKind
 from advseg.labelmap import VOID
+from advseg.layers import local_contrast_normalize
 from advseg.tensor import Tensor
 from advseg.toyscenes import (SceneSpec, load_dataset, read_pgm, read_ppm, write_pgm,
                               write_ppm)
@@ -150,23 +151,26 @@ def test_eval_missing_checkpoint_fails(tmp_path, data_dir):
     assert code == cli.EXIT_IO
 
 
-def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
-                                                      data_dir, run_dir):
-    # export-maps segments through metrics.segment, the inference pass that
-    # evaluation also uses, and its probability maps are those of a
-    # graph-building forward of the checkpoint
+def _export_maps_equal_graph_forward(tmp_path, monkeypatch, data_dir, ckpt, window):
+    """export-maps segments through metrics.segment, the inference pass that
+    evaluation also uses, and its probability maps are those of a
+    graph-building forward of the checkpoint on each scene's image,
+    contrast-normalized over ``window`` unless that is 0."""
     passes = []
     real_segment = cli.M.segment
     monkeypatch.setattr(cli.M, "segment",
                         lambda *a, **k: passes.append(a[2]) or real_segment(*a, **k))
     out = tmp_path / "maps"
-    assert run("export-maps", "--data", str(data_dir), "--ckpt", str(run_dir),
+    assert run("export-maps", "--data", str(data_dir), "--ckpt", str(ckpt),
                "--out", str(out), *SMALL_NET, "--set", "export_count=2") == 0
     assert len(passes) == 1
     spec = cli.N.build_segmenter(3, channels_base=4, n_context_layers=1)
-    params = cli.N.load_params(run_dir / "segmenter.ckpt", spec)
+    params = cli.N.load_params(ckpt / "segmenter.ckpt", spec)
     for sample in cli.D.load_dataset(data_dir).val[:2]:
-        probs = cli.N.forward(spec, params, Tensor(sample.image[None]))
+        image = sample.image[None]
+        if window:
+            image = local_contrast_normalize(image, window)
+        probs = cli.N.forward(spec, params, Tensor(image))
         assert probs.node is not None
         for c in range(3):
             want = np.rint(255.0 * probs.data[0, c]).astype(np.int64)
@@ -175,6 +179,16 @@ def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
         np.testing.assert_array_equal(
             read_pgm(out / f"{sample.id}_argmax.pgm"),
             cli.M.predict_labels(probs.data[0], upsample=cli.N.receptive_field(spec)[2]))
+
+
+def test_export_maps_equal_graph_forward_of_checkpoint(tmp_path, monkeypatch,
+                                                      data_dir, run_dir):
+    _export_maps_equal_graph_forward(tmp_path, monkeypatch, data_dir, run_dir, 0)
+
+
+def test_export_maps_of_an_lcn_checkpoint_equal_graph_forward_of_normalized_scenes(
+        tmp_path, monkeypatch, data_dir, run_dir_lcn):
+    _export_maps_equal_graph_forward(tmp_path, monkeypatch, data_dir, run_dir_lcn, 3)
 
 
 def test_export_maps_file_count_and_quantization(tmp_path, data_dir, run_dir):
@@ -557,6 +571,8 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
     # ribbons 8 pixels wide cover every pixel of a 16x16 scene
     ("gen-data", ["--set", "height=16", "--set", "width=16", "--set", "void_ribbon_px=8",
                   "--set", "n_train=4", "--set", "n_val=2"]),
+    # no scene of one class can be trained or evaluated
+    ("gen-data", ["--set", "num_classes=1"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advseg.labelmap import VOID
+from advseg.layers import local_contrast_normalize
 from advseg.metrics import (
     BFConfig,
     bf_score,
@@ -20,6 +22,7 @@ from advseg.metrics import (
 from advseg.networks import build_segmenter, forward, init_params, receptive_field
 from advseg.tensor import Tensor
 from advseg.toyscenes import SceneSpec, make_dataset
+from advseg.training import network_input
 
 from oracles import (
     bf_match_fraction_naive,
@@ -353,28 +356,35 @@ def test_evaluate_split_builds_no_graph_and_matches_graph_forward(monkeypatch):
     cfg = BFConfig(smallest_diagonal=image_diagonal((16, 16)))
 
     import advseg.networks as N
-    outputs = []
     real_forward = N.forward
-    monkeypatch.setattr(N, "forward",
-                        lambda *a, **k: outputs.append(real_forward(*a, **k)) or outputs[-1])
-    got = evaluate_split(seg, params, samples, 3, cfg, stride)
-    monkeypatch.undo()
-    assert len(outputs) == 3 and all(o.node is None for o in outputs)
+    # no hook segments the raw images; the training module's hook feeds
+    # 3x3 contrast-normalized ones
+    for window, hook in ((0, None), (3, partial(network_input, window=3))):
+        outputs = []
+        monkeypatch.setattr(N, "forward",
+                            lambda *a, **k: outputs.append(real_forward(*a, **k)) or outputs[-1])
+        got = evaluate_split(seg, params, samples, 3, cfg, stride, preprocess=hook)
+        monkeypatch.undo()
+        assert len(outputs) == 3 and all(o.node is None for o in outputs)
 
-    for k, t in params.items():
-        requires_grad, grad, data = before[k]
-        assert t.requires_grad is requires_grad
-        np.testing.assert_array_equal(t.grad, grad)
-        np.testing.assert_array_equal(t.data, data)
-    params["L0.bias"].requires_grad = True
-    preds = []
-    for s in samples:
-        probs = forward(seg, params, Tensor(s.image[None]))
-        assert probs.node is not None  # the reference really builds a graph
-        preds.append(predict_labels(probs.data[0], upsample=stride))
-    want = evaluate_predictions(preds, [s.labels for s in samples], 3, cfg)
-    assert got.n_bf_images == 3
-    assert vars(got) == vars(want)
+        for k, t in params.items():
+            requires_grad, grad, data = before[k]
+            assert t.requires_grad is requires_grad
+            np.testing.assert_array_equal(t.grad, grad)
+            np.testing.assert_array_equal(t.data, data)
+        params["L0.bias"].requires_grad = True
+        preds = []
+        for s in samples:
+            image = s.image[None]
+            if window:
+                image = local_contrast_normalize(image, window)
+            probs = forward(seg, params, Tensor(image))
+            assert probs.node is not None  # the reference really builds a graph
+            preds.append(predict_labels(probs.data[0], upsample=stride))
+        want = evaluate_predictions(preds, [s.labels for s in samples], 3, cfg)
+        assert got.n_bf_images == 3
+        assert vars(got) == vars(want)
+        params["L0.bias"].requires_grad = False
 
 
 def test_predict_labels_tie_breaks_low_class():

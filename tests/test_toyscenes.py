@@ -83,7 +83,7 @@ def test_default_colors_pairwise_separated():
 
 
 def test_scene_spec_rejects_class_counts_it_cannot_draw():
-    for bad in (0, 5):
+    for bad in (0, 1, 5):
         with pytest.raises(ValueError):
             SceneSpec(num_classes=bad)
     colors = tuple((k / 5.0,) * 3 for k in range(5))

@@ -3,6 +3,7 @@ import resource
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import advseg.tensor as T
 import advseg.training as TR
 from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.layers import local_contrast_normalize
+from advseg.metrics import evaluate_split
 from advseg.networks import forward, receptive_field
 from advseg.tensor import Tensor, backward, reduce_sum
 from advseg.toyscenes import SceneSpec, make_dataset
@@ -778,8 +780,8 @@ def test_segmenter_batch_rows_equal_each_image_alone(
 
 
 def _count_lcn(monkeypatch) -> list:
-    """The window of every call that ``make_batch`` makes to local contrast
-    normalization, through the name the training module looks up."""
+    """The window of every call to local contrast normalization, through
+    the name the training module looks up."""
     calls = []
 
     def counted(image, window):
@@ -828,11 +830,29 @@ def test_no_window_batches_hold_the_raw_pixels_and_store_nothing():
     assert not any(s in TR._normalized for s in ds.train)
 
 
+def test_a_run_normalizes_each_train_and_val_scene_once(monkeypatch):
+    """Training batches, every evaluation of both splits and the adversary's
+    accuracy read one stored image per scene."""
+    ds = tiny_dataset(n_train=4, n_val=3)
+    calls = _count_lcn(monkeypatch)
+    record = train_run(tiny_cfg(lcn_window=3, max_iters=6, eval_every=2), ds)
+    assert [row["iter"] for row in record.rows if row["split"] == "val"] == [0, 2, 4, 6]
+    assert record.rows[0]["adv_acc_gt"] is not None
+    assert calls == [3] * (4 + 3)
+
+
 def test_a_stored_image_is_freed_with_its_sample():
+    """Entries that a training batch and an evaluation made both go with
+    their samples."""
     ds = tiny_dataset()
-    batch = make_batch(ds.train, [0, 1], tiny_cfg(lcn_window=3), 2)
-    sample_ref = weakref.ref(ds.train[0])
-    image_ref = weakref.ref(TR._normalized[ds.train[0]][3])
-    del ds, batch
+    cfg = tiny_cfg(lcn_window=3)
+    state = init_state(cfg)
+    batch = make_batch(ds.train, [0, 1], cfg, 2)
+    evaluate_split(state.seg_spec, state.seg_params, ds.val, cfg.num_classes, None,
+                   receptive_field(state.seg_spec)[2],
+                   preprocess=partial(TR.network_input, window=3))
+    kept = (ds.train[0], ds.val[0])
+    refs = [weakref.ref(s) for s in kept] + [weakref.ref(TR._normalized[s][3]) for s in kept]
+    del ds, batch, kept
     gc.collect()
-    assert sample_ref() is None and image_ref() is None
+    assert all(ref() is None for ref in refs)
