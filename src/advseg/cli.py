@@ -176,8 +176,9 @@ def _unlabelled_split(ds: D.Dataset, splits) -> str | None:
 def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Dataset:
     """The dataset in ``path``, which must suit ``tcfg``: the same class
     count, each of ``splits`` holding a labelled pixel, an LCN window that
-    fits in the images, and extents that the segmenter pools evenly, and at
-    any lambda > 0 in ``lams`` the adversary after it as well. A file that
+    fits in the images, a last context dilation no larger than the
+    segmenter's feature maps, and extents that the segmenter pools evenly,
+    and at any lambda > 0 in ``lams`` the adversary after it as well. A file that
     does not parse, or a sample of another extent than ``meta.cfg`` gives,
     is a corrupt dataset (exit 3)."""
     data_dir = Path(path)
@@ -205,6 +206,14 @@ def _load_dataset(path: str, tcfg: TR.TrainConfig, splits=(), lams=()) -> D.Data
                        EXIT_FAIL)
     seg_spec, adv_spec = TR.network_specs(tcfg)
     nets, stride = "the segmenter", N.receptive_field(seg_spec)[2]
+    # every off-centre tap of a layer dilated past the feature maps reads
+    # only zero padding, and the padded grid doubles with each context layer
+    dilation = max(lay.dilation for lay in seg_spec.layers)
+    if dilation > min(h, w) / stride:
+        raise CliError(f"invalid config value: n_context_layers={tcfg.n_context_layers} "
+                       f"dilates the last context layer by {dilation}, more than the "
+                       f"{min(h, w) / stride:g}-pixel extent of the segmenter's "
+                       f"feature maps of the images in {data_dir}", EXIT_FAIL)
     if any(lam > 0 for lam in lams):
         nets += " and adversary at lambda > 0"
         stride *= N.receptive_field(adv_spec)[2]

@@ -9,8 +9,10 @@ Three encodings are supported:
            keeping at least tau mass on the true class; the predicted side
            stays the raw probability map.
 
-Void positions are zeroed across all channels on both sides, which also
-kills the gradient there. Gradients flow only through the predicted side.
+Void positions are zero across all channels on both sides: the
+ground-truth maps are built that way, and the predicted map is zeroed,
+which also kills the gradient there. Gradients flow only through the
+predicted side.
 ``build_adv_pair`` hands each side over in the form ``networks.forward``
 takes: the channel stack, or with ``include_image`` the pair (channels,
 image) for the two-branch adversary.
@@ -52,18 +54,16 @@ class EncodingKind:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """(C, H, W) or (N, C, H, W) one-hot encoding; VOID pixels are all-zero."""
+    """(N, C, H, W) one-hot encoding of (N, H, W) labels; VOID pixels are
+    all-zero."""
     labels = np.asarray(labels)
     if np.any((labels >= num_classes) & (labels != VOID)):
         raise ValueError(f"label out of range for C={num_classes}")
-    squeeze = labels.ndim == 2
-    if squeeze:
-        labels = labels[None]
     n, h, w = labels.shape
     out = np.zeros((n, num_classes, h, w))
     for c in range(num_classes):
         out[:, c] = labels == c
-    return out[0] if squeeze else out
+    return out
 
 
 def downsample(x: np.ndarray, stride: int) -> np.ndarray:
@@ -76,18 +76,10 @@ def downsample(x: np.ndarray, stride: int) -> np.ndarray:
     return x[..., ::stride, ::stride]
 
 
-def encode_basic(prob, mask) -> Tensor:
-    """Identity on channels plus void zeroing."""
-    t = prob if isinstance(prob, Tensor) else Tensor(np.asarray(prob, dtype=np.float64))
-    if t.ndim != 4:
-        raise ShapeError(f"expected (N, C, H, W) probabilities, got {t.shape}")
-    return apply_void_zeroing(t, mask)
-
-
-def encode_product(image: np.ndarray, prob: Tensor, mask) -> Tensor:
+def encode_product(image: np.ndarray, prob: Tensor) -> Tensor:
     """Channel (3c + k) is class-c probability times color channel k; the
-    (N, 3, h, w) image must already be at the probability resolution, as
-    ``build_adv_pair`` hands it over."""
+    (N, 3, h, w) image must already be at the probability resolution, and
+    ``prob`` already zero at VOID, as ``build_adv_pair`` hands them over."""
     if prob.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) probabilities, got {prob.shape}")
     n, c, h, w = prob.shape
@@ -95,9 +87,8 @@ def encode_product(image: np.ndarray, prob: Tensor, mask) -> Tensor:
     if img.shape != (n, 3, h, w):
         raise ShapeError(f"expected an {(n, 3, h, w)} image, got {img.shape}")
 
-    zeroed = apply_void_zeroing(prob, mask)
     class_rep = concat_channels(
-        [slice_channels(zeroed, ci, ci + 1) for ci in range(c) for _ in range(3)])
+        [slice_channels(prob, ci, ci + 1) for ci in range(c) for _ in range(3)])
     image_tile = Tensor(np.tile(img, (1, c, 1, 1)))
     return mul(class_rep, image_tile)
 
@@ -108,16 +99,13 @@ def encode_scaling(pred: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarr
 
         y_l = max(tau, s_l);  y_c = s_c * (1 - y_l) / (1 - s_l) for c != l
 
-    Applied to the ground-truth side only and returned as plain data (no
-    gradient). Void pixels come out all-zero. If s_l == 1 exactly the
-    denominator vanishes; the limit is the one-hot vector.
+    Applied to the (N, C, H, W) predictions on the ground-truth side only and
+    returned as plain data (no gradient). Void pixels come out all-zero. If
+    s_l == 1 exactly the denominator vanishes; the limit is the one-hot
+    vector.
     """
     s = np.asarray(pred, dtype=np.float64)
     labels = np.asarray(labels)
-    squeeze = s.ndim == 3
-    if squeeze:
-        s = s[None]
-        labels = labels[None]
     n, c, h, w = s.shape
     if labels.shape != (n, h, w):
         raise ShapeError(f"labels {labels.shape} do not match predictions {s.shape}")
@@ -134,7 +122,7 @@ def encode_scaling(pred: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarr
     np.put_along_axis(out, safe_labels[:, None],
                       np.where(degenerate, 1.0, y_true)[:, None], axis=1)
     out *= valid[:, None]
-    return out[0] if squeeze else out
+    return out
 
 
 def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
@@ -153,24 +141,21 @@ def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
     labels = np.asarray(labels)
     if enc.kind == "scaling" and enc.tau <= 1.0 / c:
         raise ValueError(f"tau must exceed 1/C = {1.0 / c:.4f}")
-    mask = void_mask(labels)
 
     if enc.kind == "scaling":
         gt_map = encode_scaling(seg_out.data, labels, enc.tau)
     else:
-        gt_map = one_hot(labels, c)  # VOID pixels already all-zero
+        gt_map = one_hot(labels, c)
+    # the ground-truth map is already zero at VOID, so only the predicted
+    # side is zeroed there
+    gt, pred = Tensor(gt_map), apply_void_zeroing(seg_out, void_mask(labels))
 
     if enc.kind == "product" or enc.include_image:
         img = np.asarray(image, dtype=np.float64)
         img = downsample(img, img.shape[2] // h)
 
     if enc.kind == "product":
-        gt = encode_product(img, Tensor(gt_map), mask)
-        pred = encode_product(img, seg_out, mask)
-    else:
-        gt = encode_basic(gt_map, mask)
-        pred = encode_basic(seg_out, mask)
-    gt = gt.detach()
+        gt, pred = encode_product(img, gt), encode_product(img, pred)
     if enc.include_image:
         branch = Tensor(img)
         return (gt, branch), (pred, branch)

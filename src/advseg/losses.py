@@ -18,13 +18,11 @@ PROB_EPS = 1e-7
 
 
 def expand_mask(mask, shape) -> np.ndarray:
-    """Materialize an (H, W) or (N, H, W) void mask to a full (N, C, H, W)
-    multiplier (the engine never broadcasts tensors implicitly)."""
+    """Materialize an (N, H, W) void mask to a full (N, C, H, W) multiplier
+    (the engine never broadcasts tensors implicitly)."""
     m = np.asarray(mask, dtype=np.float64)
     n, c, h, w = shape
-    if m.shape == (h, w):
-        m = m[None]
-    if not (m.shape[1:] == (h, w) and m.shape[0] in (1, n)):
+    if m.shape != (n, h, w):
         raise ShapeError(f"mask shape {m.shape} does not match {shape}")
     return np.ascontiguousarray(np.broadcast_to(m[:, None], shape))
 
@@ -42,9 +40,7 @@ def mce_loss(pred: Tensor, target_onehot, mask) -> Tensor:
     -sum_i sum_c mask_i * y_ic * ln(pred_ic)."""
     if pred.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W), got {pred.shape}")
-    y = target_onehot.data if isinstance(target_onehot, Tensor) else np.asarray(target_onehot, dtype=np.float64)
-    if y.ndim == 3:
-        y = y[None]
+    y = np.asarray(target_onehot, dtype=np.float64)
     if y.shape != pred.shape:
         raise ShapeError(f"target shape {y.shape} != pred shape {pred.shape}")
     weights = y * expand_mask(mask, pred.shape)
@@ -53,19 +49,14 @@ def mce_loss(pred: Tensor, target_onehot, mask) -> Tensor:
 
 
 def bce_loss(pred: Tensor, target: int) -> Tensor:
-    """Binary cross-entropy against a constant 0/1 target.
-
-    A 4D (N, 1, h, w) adversary output is averaged over grid positions per
-    image and summed over the batch; lower-rank inputs are averaged over
-    all cells, so a scalar input returns the formula directly.
-    """
+    """Binary cross-entropy against a constant 0/1 target: the (N, 1, h, w)
+    adversary output is averaged over grid positions per image and summed
+    over the batch."""
     if target not in (0, 1):
         raise ValueError(f"bce target must be 0 or 1, got {target!r}")
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
     per_cell = neg(log(p)) if target == 1 else neg(log((-p) + 1.0))
-    if per_cell.ndim == 4:
-        return reduce_sum(reduce_mean(per_cell, axes=(1, 2, 3)))
-    return reduce_mean(per_cell)
+    return reduce_sum(reduce_mean(per_cell, axes=(1, 2, 3)))
 
 
 def adversary_objective(adv_on_gt: Tensor, adv_on_pred: Tensor) -> Tensor:

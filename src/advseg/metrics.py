@@ -202,18 +202,14 @@ def upsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(labels, factor, axis=-2), factor, axis=-1)
 
 
-def predict_labels(probs: np.ndarray, upsample: int = 1) -> np.ndarray:
-    """Argmax over channels (ties to the smallest class index), optionally
-    nearest-neighbor upsampled to label resolution."""
-    probs = np.asarray(probs)
-    lab = np.argmax(probs, axis=-3).astype(np.int64)
-    if upsample > 1:
-        lab = upsample_labels(lab, upsample)
-    return lab
+def predict_labels(probs: np.ndarray, upsample: int) -> np.ndarray:
+    """Argmax over channels (ties to the smallest class index), nearest-
+    neighbor upsampled by ``upsample`` to label resolution."""
+    return upsample_labels(np.argmax(probs, axis=-3).astype(np.int64), upsample)
 
 
 def evaluate_predictions(preds: list, gts: list, num_classes: int,
-                         cfg: BFConfig | None) -> EvalReport:
+                         cfg: BFConfig) -> EvalReport:
     """Aggregate metrics over (prediction, ground truth) label-map pairs.
 
     The confusion matrix accumulates over all images; BF runs only on fully
@@ -228,24 +224,23 @@ def evaluate_predictions(preds: list, gts: list, num_classes: int,
     per_class, pixel_acc, mean_iou = summary_metrics(cm)
 
     report = EvalReport(per_class, pixel_acc, mean_iou, n_images=len(preds))
-    if cfg is not None:
-        per_image = []
-        class_scores = [[] for _ in range(num_classes)]
-        for p, g in zip(preds, gts):
-            if not is_fully_labeled(g):
-                continue
-            scores = bf_score(p, g, num_classes, cfg, image_diagonal(g.shape))
-            if not scores:
-                continue
-            per_image.append(float(np.mean([f1 for _, _, f1 in scores.values()])))
-            for c, (_, _, f1) in scores.items():
-                class_scores[c].append(f1)
-        if per_image:
-            report.per_class_bf = [
-                float(np.mean(s)) if s else None for s in class_scores]
-            report.mean_bf = float(np.mean(per_image))
-            report.bf_std_across_images = float(np.std(per_image))
-            report.n_bf_images = len(per_image)
+    per_image = []
+    class_scores = [[] for _ in range(num_classes)]
+    for p, g in zip(preds, gts):
+        if not is_fully_labeled(g):
+            continue
+        scores = bf_score(p, g, num_classes, cfg, image_diagonal(g.shape))
+        if not scores:
+            continue
+        per_image.append(float(np.mean([f1 for _, _, f1 in scores.values()])))
+        for c, (_, _, f1) in scores.items():
+            class_scores[c].append(f1)
+    if per_image:
+        report.per_class_bf = [
+            float(np.mean(s)) if s else None for s in class_scores]
+        report.mean_bf = float(np.mean(per_image))
+        report.bf_std_across_images = float(np.std(per_image))
+        report.n_bf_images = len(per_image)
     return report
 
 
@@ -266,7 +261,7 @@ def segment(seg_spec, seg_params, samples, preprocess=None):
 
 
 def evaluate_split(seg_spec, seg_params, samples, num_classes: int,
-                   cfg: BFConfig | None, stride: int,
+                   cfg: BFConfig, stride: int,
                    preprocess=None, outputs: list | None = None) -> EvalReport:
     """Segment every sample (see ``segment``), argmax + nearest upsample to
     label resolution, and aggregate metrics. If given, ``outputs``

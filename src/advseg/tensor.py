@@ -130,24 +130,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; scalars allowed on either side where meaningful.
+    # Arithmetic sugar: ``t + tensor_or_scalar``, ``t - tensor`` and ``-t``.
     def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
         return add(self, other)
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -180,15 +168,11 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + s, "add", [a], lambda g: (g,))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        _check_same_shape(a, b, "sub")
-        out = a.data - b.data
-        need_a, need_b = a.requires_grad, b.requires_grad
-        return _make(out, "sub", [a, b], lambda g: (g if need_a else None,
-                                                    -g if need_b else None))
-    s = float(b)
-    return _make(a.data - s, "sub", [a], lambda g: (g,))
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "sub")
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _make(a.data - b.data, "sub", [a, b], lambda g: (g if need_a else None,
+                                                            -g if need_b else None))
 
 
 def mul(a: Tensor, b) -> Tensor:

@@ -33,8 +33,8 @@ _TEXTURE_FREQS = ((3.0, 5.0), (8.0, 3.0), (5.0, 9.0), (11.0, 7.0),
 
 def default_colors(num_classes: int) -> tuple:
     if num_classes > 4:
-        raise ValueError("default palette guarantees separation only up to 4 "
-                         "classes; pass explicit base_colors")
+        raise ValueError(f"generated scenes have 2 to 4 classes, got "
+                         f"num_classes={num_classes}")
     return tuple(tuple(_COLOR_LADDER[(k + ch) % 4] for ch in range(3))
                  for k in range(num_classes))
 

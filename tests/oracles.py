@@ -11,10 +11,12 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from advseg.losses import bce_loss, mce_loss
+from advseg.encodings import downsample, encode_scaling, one_hot
+from advseg.labelmap import void_mask
+from advseg.losses import apply_void_zeroing, bce_loss, mce_loss
 from advseg.metrics import boundary_mask
 from advseg.networks import NetSpec, rf_geometry
-from advseg.tensor import Tensor, mul
+from advseg.tensor import Tensor, concat_channels, mul, slice_channels
 
 
 def conv2d_naive(x, kernel, bias, stride=1, dilation=1, padding=0):
@@ -246,6 +248,32 @@ def hybrid_loss(seg_out: Tensor, target_onehot, mask,
         return loss
     bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
     return loss - mul(bracket, lam)
+
+
+def adv_pair_reference(image, labels, seg_out: Tensor, enc):
+    """What ``encodings.build_adv_pair`` returns, by a route that zeroes VOID
+    on both sides explicitly and then, for the product encoding, slices each
+    class map out three times, stacks the slices and multiplies them into
+    the tiled image."""
+    c, h = seg_out.shape[1], seg_out.shape[2]
+    mask = void_mask(labels)
+    gt_map = (encode_scaling(seg_out.data, labels, enc.tau) if enc.kind == "scaling"
+              else one_hot(labels, c))
+    gt = apply_void_zeroing(Tensor(gt_map), mask)
+    pred = apply_void_zeroing(seg_out, mask)
+    if enc.kind == "product" or enc.include_image:
+        img = np.asarray(image, dtype=np.float64)
+        img = downsample(img, img.shape[2] // h)
+    if enc.kind == "product":
+        tiled = Tensor(np.tile(img, (1, c, 1, 1)))
+        gt, pred = (mul(concat_channels([slice_channels(t, ci, ci + 1)
+                                         for ci in range(c) for _ in range(3)]), tiled)
+                    for t in (gt, pred))
+    gt = gt.detach()
+    if enc.include_image:
+        branch = Tensor(img)
+        return (gt, branch), (pred, branch)
+    return gt, pred
 
 
 def affected_outputs(spec: NetSpec, pixel: int, out_extent: int) -> tuple[int, int]:

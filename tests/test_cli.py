@@ -573,6 +573,12 @@ def test_echoed_config_reproduces_run(tmp_path, data_dir):
                   "--set", "n_train=4", "--set", "n_val=2"]),
     # no scene of one class can be trained or evaluated
     ("gen-data", ["--set", "num_classes=1"]),
+    # dilation 16 on the 8-pixel feature maps of 16x16 scenes
+    ("train", ["--set", "num_classes=3", "--set", "n_context_layers=5",
+               "--set", "max_iters=2", "--set", "eval_every=2"]),
+    ("grid", ["--set", "num_classes=3", "--set", "n_context_layers=5",
+              "--set", "max_iters=2", "--set", "eval_every=2",
+              "--slr", "0.001", "--alr", "0.05", "--lam", "0.0"]),
 ])
 def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_dir,
                                                        run_dir, command, extra):
@@ -585,6 +591,14 @@ def test_malformed_config_value_exits_1_before_writing(tmp_path, capsys, data_di
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config value: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_data_class_count_message_states_the_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("gen-data", "--out", str(out), "--set", "num_classes=5") == cli.EXIT_FAIL
+    assert capsys.readouterr().err == ("error: invalid config value: generated scenes "
+                                       "have 2 to 4 classes, got num_classes=5\n")
     assert not out.exists()
 
 

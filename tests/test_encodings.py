@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advseg.encodings import (
     EncodingKind,
     build_adv_pair,
     downsample,
-    encode_basic,
     encode_product,
     encode_scaling,
     one_hot,
 )
 from advseg.labelmap import VOID, void_mask
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
+from advseg.losses import apply_void_zeroing
+from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
 
-from oracles import kl_divergence, min_kl_given_floor
+from oracles import adv_pair_reference, kl_divergence, min_kl_given_floor
 
 
 def _random_simplex(rng, c):
@@ -22,28 +24,28 @@ def _random_simplex(rng, c):
 
 
 def test_one_hot_basic():
-    out = one_hot(np.array([[0]]), 2)
-    np.testing.assert_array_equal(out, np.array([[[1.0]], [[0.0]]]))
+    out = one_hot(np.array([[[0]]]), 2)
+    np.testing.assert_array_equal(out, np.array([[[[1.0]], [[0.0]]]]))
 
 
 def test_one_hot_void_all_zero():
-    out = one_hot(np.array([[VOID]]), 3)
-    np.testing.assert_array_equal(out, np.zeros((3, 1, 1)))
+    out = one_hot(np.array([[[VOID]]]), 3)
+    np.testing.assert_array_equal(out, np.zeros((1, 3, 1, 1)))
 
 
 def test_one_hot_roundtrip_argmax():
     rng = np.random.default_rng(0)
-    labels = rng.integers(0, 4, size=(6, 6))
-    labels[0, 0] = VOID
+    labels = rng.integers(0, 4, size=(2, 6, 6))
+    labels[0, 0, 0] = VOID
     out = one_hot(labels, 4)
-    back = np.argmax(out, axis=0)
+    back = np.argmax(out, axis=1)
     nv = labels != VOID
     np.testing.assert_array_equal(back[nv], labels[nv])
 
 
 def test_one_hot_rejects_out_of_range():
     with pytest.raises(ValueError):
-        one_hot(np.array([[4]]), 4)
+        one_hot(np.array([[[4]]]), 4)
 
 
 def test_downsample_labels_identity_and_corners():
@@ -64,11 +66,12 @@ def test_downsample_indivisible_errors():
         downsample(np.zeros((5, 4), dtype=int), 2)
 
 
-def test_encode_basic_passthrough_and_zeroing():
+def test_basic_pair_passes_predictions_through_and_zeroes_void():
     rng = np.random.default_rng(1)
     prob = rng.uniform(size=(1, 3, 2, 2))
-    mask = np.array([[1.0, 0.0], [1.0, 1.0]])
-    out = encode_basic(prob, mask).data
+    labels = np.array([[[0, VOID], [1, 2]]])
+    _, pred = build_adv_pair(None, labels, Tensor(prob), EncodingKind("basic"))
+    out = pred.data
     np.testing.assert_array_equal(out[0, :, 0, 0], prob[0, :, 0, 0])
     np.testing.assert_array_equal(out[0, :, 0, 1], 0.0)
     assert out.shape == prob.shape
@@ -77,7 +80,7 @@ def test_encode_basic_passthrough_and_zeroing():
 def test_encode_product_one_hot_pixel():
     img = np.array([0.2, 0.4, 0.6]).reshape(1, 3, 1, 1)
     prob = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
-    out = encode_product(img, prob, np.ones((1, 1))).data[0, :, 0, 0]
+    out = encode_product(img, prob).data[0, :, 0, 0]
     np.testing.assert_allclose(out, [0.2, 0.4, 0.6, 0.0, 0.0, 0.0])
 
 
@@ -85,7 +88,7 @@ def test_encode_product_uniform_prob():
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(1, 3, 2, 2))
     prob = Tensor(np.full((1, 2, 2, 2), 0.5))
-    out = encode_product(img, prob, np.ones((2, 2))).data
+    out = encode_product(img, prob).data
     np.testing.assert_allclose(out[0, 0:3], 0.5 * img[0])
     np.testing.assert_allclose(out[0, 3:6], 0.5 * img[0])
 
@@ -93,14 +96,14 @@ def test_encode_product_uniform_prob():
 def test_encode_product_channel_count():
     img = np.zeros((1, 3, 4, 4))
     prob = Tensor(np.full((1, 2, 4, 4), 0.5))
-    assert encode_product(img, prob, np.ones((4, 4))).shape == (1, 6, 4, 4)
+    assert encode_product(img, prob).shape == (1, 6, 4, 4)
 
 
 def test_encode_product_requires_the_image_at_map_resolution():
     prob = Tensor(np.ones((1, 1, 4, 4)))
     for shape in ((1, 3, 8, 8), (3, 4, 4), (2, 3, 4, 4), (1, 1, 4, 4)):
         with pytest.raises(ShapeError):
-            encode_product(np.zeros(shape), prob, np.ones((4, 4)))
+            encode_product(np.zeros(shape), prob)
 
 
 def test_build_adv_pair_downsamples_image_for_product():
@@ -115,40 +118,38 @@ def test_build_adv_pair_downsamples_image_for_product():
 def test_encode_product_linear_in_prob():
     rng = np.random.default_rng(3)
     img = rng.uniform(size=(1, 3, 4, 4))
-    mask = (rng.uniform(size=(4, 4)) > 0.3).astype(float)
     p = rng.uniform(size=(1, 3, 4, 4))
     q = rng.uniform(size=(1, 3, 4, 4))
     alpha = 0.3
-    blend = encode_product(img, Tensor(alpha * p + (1 - alpha) * q), mask).data
-    parts = (alpha * encode_product(img, Tensor(p), mask).data
-             + (1 - alpha) * encode_product(img, Tensor(q), mask).data)
+    blend = encode_product(img, Tensor(alpha * p + (1 - alpha) * q)).data
+    parts = (alpha * encode_product(img, Tensor(p)).data
+             + (1 - alpha) * encode_product(img, Tensor(q)).data)
     np.testing.assert_allclose(blend, parts, atol=1e-12)
 
 
 def test_encode_product_grad_check():
     rng = np.random.default_rng(4)
     img = rng.uniform(size=(1, 3, 2, 2))
-    mask = np.array([[1.0, 0.0], [1.0, 1.0]])
     prob = Tensor(rng.uniform(0.1, 0.9, size=(1, 2, 2, 2)))
 
     def f(t):
-        e = encode_product(img, t, mask)
-        return reduce_sum(e * e)
+        e = encode_product(img, t)
+        return reduce_sum(mul(e, e))
 
     assert grad_check(f, prob) < 1e-4
 
 
 def test_encode_scaling_identity_when_confident():
-    s = np.array([0.95, 0.03, 0.02]).reshape(3, 1, 1)
-    labels = np.zeros((1, 1), dtype=int)
+    s = np.array([0.95, 0.03, 0.02]).reshape(1, 3, 1, 1)
+    labels = np.zeros((1, 1, 1), dtype=int)
     out = encode_scaling(s, labels, 0.9)
     np.testing.assert_allclose(out, s, atol=1e-15)
 
 
 def test_encode_scaling_hand_value():
-    s = np.array([0.5, 0.3, 0.2]).reshape(3, 1, 1)
-    labels = np.zeros((1, 1), dtype=int)
-    out = encode_scaling(s, labels, 0.9)[:, 0, 0]
+    s = np.array([0.5, 0.3, 0.2]).reshape(1, 3, 1, 1)
+    labels = np.zeros((1, 1, 1), dtype=int)
+    out = encode_scaling(s, labels, 0.9)[0, :, 0, 0]
     np.testing.assert_allclose(out, [0.9, 0.06, 0.04], atol=1e-12)
 
 
@@ -156,25 +157,25 @@ def test_encode_scaling_sums_to_one():
     rng = np.random.default_rng(5)
     for c in (2, 3, 4):
         s = np.stack([_random_simplex(rng, c) for _ in range(16)], axis=1)
-        s = s.reshape(c, 4, 4)
-        labels = rng.integers(0, c, size=(4, 4))
+        s = s.reshape(1, c, 4, 4)
+        labels = rng.integers(0, c, size=(1, 4, 4))
         out = encode_scaling(s, labels, 0.9)
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_encode_scaling_void_zeroed():
-    s = np.full((2, 2, 2), 0.5)
-    labels = np.array([[0, VOID], [1, VOID]])
+    s = np.full((1, 2, 2, 2), 0.5)
+    labels = np.array([[[0, VOID], [1, VOID]]])
     out = encode_scaling(s, labels, 0.9)
-    np.testing.assert_array_equal(out[:, :, 1], 0.0)
-    assert out[0, 0, 0] == 0.9
+    np.testing.assert_array_equal(out[0, :, :, 1], 0.0)
+    assert out[0, 0, 0, 0] == 0.9
 
 
 def test_encode_scaling_degenerate_one_hot():
-    s = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
-    labels = np.zeros((1, 1), dtype=int)
+    s = np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1, 1)
+    labels = np.zeros((1, 1, 1), dtype=int)
     out = encode_scaling(s, labels, 0.9)
-    np.testing.assert_array_equal(out[:, 0, 0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out[0, :, 0, 0], [1.0, 0.0, 0.0])
 
 
 def test_encode_scaling_kl_optimal():
@@ -187,7 +188,7 @@ def test_encode_scaling_kl_optimal():
         label = int(rng.integers(0, c))
         if s[label] >= 0.9:
             continue
-        out = encode_scaling(s.reshape(c, 1, 1), np.full((1, 1), label), 0.9)[:, 0, 0]
+        out = encode_scaling(s.reshape(1, c, 1, 1), np.full((1, 1, 1), label), 0.9)[0, :, 0, 0]
         ours = kl_divergence(out, s)
         best = min_kl_given_floor(s, label, 0.9)
         assert ours <= best + 1e-6
@@ -195,7 +196,7 @@ def test_encode_scaling_kl_optimal():
     assert checked >= 50
 
 
-def test_encodings_commute_with_void_zeroing():
+def test_product_encoding_commutes_with_void_zeroing():
     rng = np.random.default_rng(7)
     img = rng.uniform(size=(1, 3, 4, 4))
     prob = rng.uniform(size=(1, 3, 4, 4))
@@ -203,12 +204,8 @@ def test_encodings_commute_with_void_zeroing():
     labels[0, 0, :2] = VOID
     mask = void_mask(labels)
 
-    a = encode_basic(prob * mask[:, None], np.ones((4, 4))).data
-    b = encode_basic(prob, mask).data
-    np.testing.assert_allclose(a, b, atol=1e-15)
-
-    a = encode_product(img, Tensor(prob * mask[:, None]), np.ones((4, 4))).data
-    b = encode_product(img, Tensor(prob), mask).data
+    a = encode_product(img, apply_void_zeroing(Tensor(prob), mask)).data
+    b = encode_product(img, Tensor(prob)).data * mask[:, None]
     np.testing.assert_allclose(a, b, atol=1e-15)
 
 
@@ -308,3 +305,70 @@ def test_build_adv_pair_sides_are_adversary_inputs(kind, include_image):
         gt, pred = gt[0], pred[0]
     assert gt.node is None and not gt.requires_grad
     assert pred.node is not None
+
+
+@st.composite
+def _maps_with_void(draw):
+    """(N, C, H, W) probability maps, (N, H, W) labels holding VOID, and a
+    tau. Some pixels, VOID ones among them, are degenerate: all their mass
+    sits on their label (class 0 at VOID), so s_l = 1."""
+    n, c = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = n * h * w
+    labels = np.array(draw(st.lists(st.sampled_from([*range(c), VOID]),
+                                    min_size=size, max_size=size))).reshape(n, h, w)
+    labels[0, 0, 0] = VOID
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size * c,
+                                 max_size=size * c))).reshape(n, c, h, w)
+    degenerate = np.array(draw(st.lists(st.booleans(), min_size=size,
+                                        max_size=size))).reshape(n, 1, h, w)
+    hot = np.eye(c)[np.where(labels == VOID, 0, labels)].transpose(0, 3, 1, 2)
+    s = np.where(degenerate, hot, raw / raw.sum(axis=1, keepdims=True))
+    return s, labels, draw(st.floats(0.55, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_maps_with_void())
+def test_ground_truth_maps_are_positive_zero_at_void(case):
+    """``build_adv_pair`` leaves the ground-truth side unzeroed because both
+    of its maps already hold +0.0, sign bit clear, in every channel at VOID;
+    multiplying by the 0.0 of the void mask would change no bit."""
+    s, labels, tau = case
+    void = labels == VOID
+    for out in (one_hot(labels, s.shape[1]), encode_scaling(s, labels, tau)):
+        at_void = out.transpose(0, 2, 3, 1)[void]
+        assert not at_void.any() and not np.signbit(at_void).any()
+
+
+@pytest.mark.parametrize("include_image", [False, True])
+@pytest.mark.parametrize("kind", ["basic", "product", "scaling"])
+def test_build_adv_pair_matches_the_reference_bit_for_bit(kind, include_image):
+    """Both sides and the predicted side's gradient equal, to the bit, those
+    of the route that zeroes VOID on both sides (``oracles``)."""
+    rng = np.random.default_rng(12)
+    c = 3
+    images = rng.uniform(size=(2, 3, 8, 8))
+    labels = rng.integers(0, c, size=(2, 4, 4))
+    labels[0, 0, :] = VOID
+    labels[1, :, 1] = VOID
+    raw = rng.uniform(0.05, 1.0, size=(2, c, 4, 4))
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    probs[1, :, 2, 2] = (0.0, 1.0, 0.0)  # s_l = 1 at a labelled pixel
+    labels[1, 2, 2] = 1
+    enc = EncodingKind(kind, include_image=include_image)
+    weights = rng.normal(size=(2, enc.channels(c), 4, 4))
+
+    results = []
+    for build in (build_adv_pair, adv_pair_reference):
+        seg = Tensor(probs.copy(), requires_grad=True)
+        gt, pred = build(images, labels, seg, enc)
+        branch = None
+        if include_image:
+            (gt, branch), (pred, image) = gt, pred
+            assert image is branch
+            branch = branch.data.tobytes()
+        assert gt.node is None and not gt.requires_grad
+        backward(reduce_sum(mul(pred, Tensor(weights))))
+        results.append((gt.data.tobytes(), pred.data.tobytes(), seg.grad.tobytes(),
+                        branch))
+    assert results[0] == results[1]

@@ -24,6 +24,7 @@ from advseg.tensor import (
     Tensor,
     backward,
     grad_check,
+    mul,
     overridden_backward,
     reduce_sum,
 )
@@ -102,7 +103,7 @@ def test_conv_grad_check_all_leaves():
 
     def loss_wrt(t):
         return lambda _: reduce_sum(
-            conv2d(x, p) * conv2d(x, p))
+            mul(conv2d(x, p), conv2d(x, p)))
 
     for leaf in (x, k, b):
         assert grad_check(loss_wrt(leaf), leaf) < 1e-4
@@ -156,7 +157,7 @@ def test_conv_kernel_grad_check_with_a_frozen_input():
 
     def f(t):  # stride 2, dilation 2, no padding; x never needs a gradient
         out = conv2d(x, ConvParams(t, b, 2, 2, 0))
-        return reduce_sum(out * out)
+        return reduce_sum(mul(out, out))
 
     assert grad_check(f, k) < TOLERANCE
     with overridden_backward(
@@ -552,7 +553,7 @@ def test_maxpool_odd_extent_errors():
 def test_maxpool_grad_check():
     rng = np.random.default_rng(4)
     x = Tensor(rng.permutation(16.0 * np.arange(1, 17)).reshape(1, 1, 4, 4))
-    assert grad_check(lambda t: reduce_sum(maxpool2(t) * maxpool2(t)), x) < 1e-4
+    assert grad_check(lambda t: reduce_sum(mul(maxpool2(t), maxpool2(t))), x) < 1e-4
 
 
 def _tied_pool_input():
@@ -660,7 +661,7 @@ def test_channel_softmax_grad_check():
     weights = Tensor(rng.normal(size=(1, 3, 2, 2)))
 
     def f(t):
-        return reduce_sum(channel_softmax(t) * weights)
+        return reduce_sum(mul(channel_softmax(t), weights))
 
     assert grad_check(f, x) < 1e-4
 
@@ -668,7 +669,7 @@ def test_channel_softmax_grad_check():
 def test_sigmoid_grad_check():
     rng = np.random.default_rng(7)
     x = Tensor(rng.uniform(-2, 2, size=(3, 3)))
-    assert grad_check(lambda t: reduce_sum(sigmoid(t) * sigmoid(t)), x) < 1e-4
+    assert grad_check(lambda t: reduce_sum(mul(sigmoid(t), sigmoid(t))), x) < 1e-4
 
 
 def test_lcn_constant_image_is_zero():

@@ -12,7 +12,7 @@ from advseg.losses import (
     mce_loss,
     segmenter_objective,
 )
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
+from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
 
 from oracles import hybrid_loss
 
@@ -28,21 +28,21 @@ def test_mce_perfect_prediction_near_zero():
     y = np.zeros((1, 2, 2, 2))
     y[0, 0] = 1.0
     pred = Tensor(y.copy())
-    loss = mce_loss(pred, y, np.ones((2, 2))).item()
+    loss = mce_loss(pred, y, np.ones((1, 2, 2))).item()
     assert 0.0 <= loss < 4 * 1e-6  # clamp to 1 - 1e-7 leaves ~1e-7 per pixel
 
 
 def test_mce_hand_value():
     pred = Tensor(np.array([0.8, 0.2]).reshape(1, 2, 1, 1))
     target = np.array([1.0, 0.0]).reshape(1, 2, 1, 1)
-    loss = mce_loss(pred, target, np.ones((1, 1))).item()
+    loss = mce_loss(pred, target, np.ones((1, 1, 1))).item()
     assert abs(loss - 0.2231435513) < 1e-9
 
 
 def test_mce_all_void_zero_loss_and_grad():
     rng = np.random.default_rng(0)
     pred = Tensor(_softmax_like(rng, (1, 3, 2, 2)), requires_grad=True)
-    labels = np.full((2, 2), VOID)
+    labels = np.full((1, 2, 2), VOID)
     target = np.zeros((1, 3, 2, 2))
     loss = mce_loss(pred, target, void_mask(labels))
     assert loss.item() == 0.0
@@ -52,19 +52,24 @@ def test_mce_all_void_zero_loss_and_grad():
 
 def test_mce_shape_mismatch():
     with pytest.raises(ShapeError):
-        mce_loss(Tensor(np.ones((1, 2, 2, 2))), np.ones((1, 3, 2, 2)), np.ones((2, 2)))
+        mce_loss(Tensor(np.ones((1, 2, 2, 2))), np.ones((1, 3, 2, 2)), np.ones((1, 2, 2)))
+
+
+def _cell(value):
+    """A one-cell (1, 1, 1, 1) adversary grid."""
+    return Tensor(np.full((1, 1, 1, 1), value))
 
 
 def test_bce_half():
-    assert abs(bce_loss(Tensor([0.5]), 1).item() - LN2) < 1e-12
+    assert abs(bce_loss(_cell(0.5), 1).item() - LN2) < 1e-12
 
 
 def test_bce_near_perfect():
-    assert bce_loss(Tensor([1.0 - 1e-7]), 1).item() < 1.1e-7
+    assert bce_loss(_cell(1.0 - 1e-7), 1).item() < 1.1e-7
 
 
 def test_bce_grid_mean():
-    grid = Tensor(np.array([[0.5, 0.5], [1.0 - 1e-7, 1.0 - 1e-7]]))
+    grid = Tensor(np.array([[0.5, 0.5], [1.0 - 1e-7, 1.0 - 1e-7]]).reshape(1, 1, 2, 2))
     val = bce_loss(grid, 1).item()
     assert abs(val - (2 * LN2 + 2e-7) / 4) < 1e-8
 
@@ -76,7 +81,7 @@ def test_bce_batched_grid_sums_over_images():
 
 def test_bce_rejects_other_targets():
     with pytest.raises(ValueError):
-        bce_loss(Tensor([0.5]), 2)
+        bce_loss(_cell(0.5), 2)
 
 
 def test_hybrid_reduces_to_mce_at_lambda_zero():
@@ -180,12 +185,13 @@ def test_surrogate_gradients_same_sign_and_ratio():
     """d/da[bce(a,0)] and -d/da[bce(a,1)] never disagree in sign on (0,1);
     the magnitude ratio is a/(1-a)."""
     for a_val in np.linspace(0.001, 0.999, 999):
-        a = Tensor([a_val], requires_grad=True)
+        a = _cell(a_val)
+        a.requires_grad = True
         backward(bce_loss(a, 0))
-        g_orig = a.grad[0]  # d/da of the term the original update subtracts
+        g_orig = a.grad.item()  # d/da of the term the original update subtracts
         a.zero_grad()
         backward(bce_loss(a, 1))
-        g_mod = a.grad[0]
+        g_mod = a.grad.item()
         assert np.sign(g_orig) == -np.sign(g_mod)
         ratio = abs(g_orig) / abs(g_mod)
         assert abs(ratio - a_val / (1.0 - a_val)) < 1e-9
@@ -194,19 +200,19 @@ def test_surrogate_gradients_same_sign_and_ratio():
 def test_apply_void_zeroing_identity_and_annihilation():
     rng = np.random.default_rng(7)
     prob = Tensor(rng.uniform(size=(1, 3, 2, 2)))
-    out = apply_void_zeroing(prob, np.ones((2, 2)))
+    out = apply_void_zeroing(prob, np.ones((1, 2, 2)))
     np.testing.assert_array_equal(out.data, prob.data)
-    out = apply_void_zeroing(prob, np.zeros((2, 2)))
+    out = apply_void_zeroing(prob, np.zeros((1, 2, 2)))
     np.testing.assert_array_equal(out.data, np.zeros_like(prob.data))
 
 
 def test_apply_void_zeroing_kills_gradient():
     rng = np.random.default_rng(8)
-    mask = np.array([[1.0, 0.0], [0.0, 1.0]])
+    mask = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     x = Tensor(rng.uniform(0.2, 0.8, size=(1, 2, 2, 2)))
 
     def f(t):
-        return reduce_sum(apply_void_zeroing(t, mask) * apply_void_zeroing(t, mask))
+        return reduce_sum(mul(apply_void_zeroing(t, mask), apply_void_zeroing(t, mask)))
 
     assert grad_check(f, x) < 1e-4
     x.zero_grad()
@@ -220,7 +226,7 @@ def test_losses_grad_checks():
     pred = Tensor(_softmax_like(rng, (1, 3, 2, 2)))
     target = np.zeros((1, 3, 2, 2))
     target[0, 1] = 1.0
-    mask = np.array([[1.0, 1.0], [0.0, 1.0]])
+    mask = np.array([[[1.0, 1.0], [0.0, 1.0]]])
     assert grad_check(lambda t: mce_loss(t, target, mask), pred) < 1e-4
 
     grid = Tensor(rng.uniform(0.1, 0.9, size=(2, 1, 2, 2)))
@@ -231,7 +237,7 @@ def test_losses_grad_checks():
 def test_objectives_finite_under_extreme_inputs():
     pred = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     target = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
-    mask = np.ones((1, 1))
+    mask = np.ones((1, 1, 1))
     adv = Tensor(np.zeros((1, 1, 1, 1)))
     for v in (mce_loss(pred, target, mask),
               segmenter_objective(pred, target, mask, adv, 2.0, True),
@@ -243,9 +249,10 @@ def test_expand_mask_shapes():
     shape = (2, 3, 4, 4)
     rng = np.random.default_rng(0)
     per_image = rng.integers(0, 2, size=(2, 4, 4)).astype(float)
-    np.testing.assert_array_equal(expand_mask(per_image, shape)[:, 1], per_image)
-    for shared in (per_image[0], per_image[:1]):
-        np.testing.assert_array_equal(expand_mask(shared, shape)[1, 2], per_image[0])
-    for bad in ((1, 5, 5), (5, 5), (3, 4, 4), (2, 4, 5), (2, 4), (2, 1, 4, 4), ()):
+    for c in range(3):
+        np.testing.assert_array_equal(expand_mask(per_image, shape)[:, c], per_image)
+    # one mask per image of the batch, nothing shared or broadcast
+    for bad in ((4, 4), (1, 4, 4), (1, 5, 5), (5, 5), (3, 4, 4), (2, 4, 5), (2, 4),
+                (2, 1, 4, 4), ()):
         with pytest.raises(ShapeError):
             expand_mask(np.ones(bad), shape)

@@ -389,7 +389,7 @@ def test_evaluate_split_builds_no_graph_and_matches_graph_forward(monkeypatch):
 
 def test_predict_labels_tie_breaks_low_class():
     probs = np.full((3, 2, 2), 1.0 / 3.0)
-    np.testing.assert_array_equal(predict_labels(probs), np.zeros((2, 2)))
+    np.testing.assert_array_equal(predict_labels(probs, 1), np.zeros((2, 2)))
 
 
 def test_upsample_nearest():
@@ -435,7 +435,7 @@ def test_evaluate_predictions_bf_skips_void_images():
 
 def test_evaluate_predictions_empty_errors():
     with pytest.raises(ValueError):
-        evaluate_predictions([], [], 2, None)
+        evaluate_predictions([], [], 2, BFConfig(smallest_diagonal=1.0))
 
 
 def test_metrics_bounded_and_perfect_iff_equal():
@@ -443,9 +443,10 @@ def test_metrics_bounded_and_perfect_iff_equal():
     gt = rng.integers(0, 4, size=(10, 10))
     noisy = gt.copy()
     noisy[0, 0] = (gt[0, 0] + 1) % 4
-    rep = evaluate_predictions([noisy], [gt], 4, None)
+    cfg = BFConfig(smallest_diagonal=image_diagonal(gt.shape))
+    rep = evaluate_predictions([noisy], [gt], 4, cfg)
     vals = [rep.pixel_acc, rep.mean_iou] + [a for a in rep.per_class_acc if a is not None]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert rep.pixel_acc < 1.0
-    perfect = evaluate_predictions([gt], [gt], 4, None)
+    perfect = evaluate_predictions([gt], [gt], 4, cfg)
     assert perfect.pixel_acc == 1.0 and perfect.mean_iou == 1.0

@@ -18,7 +18,7 @@ from advseg.networks import (
     same_conv,
     save_params,
 )
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, reduce_sum
+from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
 
 from oracles import affected_outputs
 
@@ -208,7 +208,7 @@ def test_end_to_end_grad_check_small_instance():
     def f(_):
         probs = forward(seg, seg_params, x)
         grid = forward(adv, adv_params, probs)
-        return reduce_sum(grid * grid)
+        return reduce_sum(mul(grid, grid))
 
     for name in ("L0.kernel", "L0.bias", "L5.kernel"):
         assert grad_check(f, seg_params[name]) < 1e-4, name

@@ -400,7 +400,7 @@ def _programs(draw):
             step = ("const", grid_array((draw(st.integers(1, 3)), 2, 2)))
         elif kind in _BINARY:
             i = draw(st.sampled_from(idx))
-            if draw(st.booleans()):
+            if kind != "sub" and draw(st.booleans()):  # sub takes no scalar
                 step = (kind, i, draw(st.sampled_from(_GRID)))
             else:
                 step = (kind, i, draw(st.sampled_from(

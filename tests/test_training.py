@@ -84,7 +84,7 @@ def test_sgd_two_steps_equal_double_lr_on_linear():
     def run(lr, steps):
         w = {"w": Tensor([1.0], requires_grad=True)}
         for _ in range(steps):
-            loss = reduce_sum(w["w"] * 3.0)
+            loss = reduce_sum(T.mul(w["w"], 3.0))
             backward(loss)
             sgd_step(w, lr)
         return w["w"].data.copy()
@@ -848,7 +848,8 @@ def test_a_stored_image_is_freed_with_its_sample():
     cfg = tiny_cfg(lcn_window=3)
     state = init_state(cfg)
     batch = make_batch(ds.train, [0, 1], cfg, 2)
-    evaluate_split(state.seg_spec, state.seg_params, ds.val, cfg.num_classes, None,
+    evaluate_split(state.seg_spec, state.seg_params, ds.val, cfg.num_classes,
+                   TR.dataset_bf_config(ds),
                    receptive_field(state.seg_spec)[2],
                    preprocess=partial(TR.network_input, window=3))
     kept = (ds.train[0], ds.val[0])
