@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labelmap import VOID, void_mask
-from .losses import apply_void_zeroing
+from .labelmap import VOID
 from .tensor import ShapeError, Tensor, concat_channels, mul, slice_channels
 
 
@@ -147,8 +146,9 @@ def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
     else:
         gt_map = one_hot(labels, c)
     # the ground-truth map is already zero at VOID, so only the predicted
-    # side is zeroed there
-    gt, pred = Tensor(gt_map), apply_void_zeroing(seg_out, void_mask(labels))
+    # side is zeroed there, which also zeroes the gradient that reaches it
+    keep = np.broadcast_to(labels[:, None] != VOID, seg_out.shape).astype(np.float64)
+    gt, pred = Tensor(gt_map), mul(seg_out, Tensor(keep))
 
     if enc.kind == "product" or enc.include_image:
         img = np.asarray(image, dtype=np.float64)

@@ -173,9 +173,8 @@ def _loss_cases():
     rng = np.random.default_rng(104)
     pred = T.Tensor(_simplex(rng, (1, 3, 2, 2)))
     target = np.zeros((1, 3, 2, 2))
-    target[0, 1] = 1.0
-    mask = np.array([[[1.0, 1.0], [0.0, 1.0]]])
-    yield "mce_loss", pred, lambda t: mce_loss(t, target, mask)
+    target[0, 1] = [[1.0, 1.0], [0.0, 1.0]]  # class 1, VOID at (1, 0)
+    yield "mce_loss", pred, lambda t: mce_loss(t, target)
 
     grid = T.Tensor(rng.uniform(0.15, 0.85, size=(2, 1, 2, 2)))
     yield "bce_loss_t1", grid, lambda t: bce_loss(t, 1)
@@ -184,7 +183,7 @@ def _loss_cases():
     adv = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 1, 1, 1)))
     for tag, modified in (("modified", True), ("original", False)):
         yield (f"segmenter_objective_{tag}", pred,
-               lambda t, m=modified: segmenter_objective(t, target, mask, adv, 0.8, m))
+               lambda t, m=modified: segmenter_objective(t, target, adv, 0.8, m))
     other = T.Tensor(grid.data * 0.9)
     yield "adversary_objective", grid, lambda t: adversary_objective(t, other)
 
@@ -258,7 +257,6 @@ def _composition_cases():
     target = np.zeros((1, 2, 4, 4))
     target[0, 0] = labels == 0
     target[0, 1] = labels == 1
-    mask = np.ones((1, 4, 4))
     basic = EncodingKind("basic")
 
     seg_in, probs = _traced(seg, seg_params, x)
@@ -274,7 +272,7 @@ def _composition_cases():
             probs = N.forward(seg, params, seg_in[k], start=k)
             _, pred = build_adv_pair(None, labels, probs, basic)
             grid = N.forward(adv, adv_fixed, pred)
-            return segmenter_objective(probs, target, mask, grid, 1.0, True)
+            return segmenter_objective(probs, target, grid, 1.0, True)
         return f
 
     def adv_loss(name):

@@ -10,10 +10,5 @@ import numpy as np
 VOID = 255
 
 
-def void_mask(labels: np.ndarray) -> np.ndarray:
-    """1.0 where labeled, 0.0 where VOID; shape follows ``labels``."""
-    return (np.asarray(labels) != VOID).astype(np.float64)
-
-
 def is_fully_labeled(labels: np.ndarray) -> bool:
     return not np.any(np.asarray(labels) == VOID)

@@ -17,35 +17,17 @@ from .tensor import ShapeError, Tensor, clamp, log, mul, neg, reduce_mean, reduc
 PROB_EPS = 1e-7
 
 
-def expand_mask(mask, shape) -> np.ndarray:
-    """Materialize an (N, H, W) void mask to a full (N, C, H, W) multiplier
-    (the engine never broadcasts tensors implicitly)."""
-    m = np.asarray(mask, dtype=np.float64)
-    n, c, h, w = shape
-    if m.shape != (n, h, w):
-        raise ShapeError(f"mask shape {m.shape} does not match {shape}")
-    return np.ascontiguousarray(np.broadcast_to(m[:, None], shape))
-
-
-def apply_void_zeroing(prob: Tensor, mask) -> Tensor:
-    """Zero all channels at void positions; the multiplication also zeroes
-    any gradient flowing back through those positions."""
-    if prob.ndim != 4:
-        raise ShapeError(f"expected (N, C, H, W), got {prob.shape}")
-    return mul(prob, Tensor(expand_mask(mask, prob.shape)))
-
-
-def mce_loss(pred: Tensor, target_onehot, mask) -> Tensor:
+def mce_loss(pred: Tensor, target_onehot) -> Tensor:
     """Multi-class cross-entropy, summed over pixels and images:
-    -sum_i sum_c mask_i * y_ic * ln(pred_ic)."""
+    -sum_i sum_c y_ic * ln(pred_ic). The one-hot target is all-zero at VOID,
+    so VOID pixels add nothing to the loss or its gradient."""
     if pred.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W), got {pred.shape}")
     y = np.asarray(target_onehot, dtype=np.float64)
     if y.shape != pred.shape:
         raise ShapeError(f"target shape {y.shape} != pred shape {pred.shape}")
-    weights = y * expand_mask(mask, pred.shape)
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    return neg(reduce_sum(mul(log(p), Tensor(weights))))
+    return neg(reduce_sum(mul(log(p), Tensor(y))))
 
 
 def bce_loss(pred: Tensor, target: int) -> Tensor:
@@ -69,9 +51,8 @@ def adversary_objective(adv_on_gt: Tensor, adv_on_pred: Tensor) -> Tensor:
     return bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
 
 
-def segmenter_objective(seg_out: Tensor, target_onehot, mask,
-                        adv_on_pred: Tensor | None, lam: float,
-                        modified_update: bool) -> Tensor:
+def segmenter_objective(seg_out: Tensor, target_onehot, adv_on_pred: Tensor | None,
+                        lam: float, modified_update: bool) -> Tensor:
     """Cross-entropy plus the lambda-weighted adversarial surrogate,
     adversary frozen. The modified update has the original's critical points
     but a stronger gradient when the adversary is confident the map is fake.
@@ -79,7 +60,7 @@ def segmenter_objective(seg_out: Tensor, target_onehot, mask,
     modified_update: mce + lam * bce(a(x, s(x)), 1)
     original:        mce - lam * bce(a(x, s(x)), 0)
     """
-    loss = mce_loss(seg_out, target_onehot, mask)
+    loss = mce_loss(seg_out, target_onehot)
     if lam == 0.0:
         return loss
     if adv_on_pred is None:

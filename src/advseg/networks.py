@@ -23,7 +23,6 @@ from .tensor import ShapeError, Tensor, concat_channels
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str  # conv | relu | maxpool2 | channel_softmax | sigmoid | concat_branches
-    in_ch: int = 0
     out_ch: int = 0
     k: int = 0
     stride: int = 1
@@ -32,13 +31,14 @@ class LayerSpec:
     branch: tuple = field(default_factory=tuple)  # image-branch layers, concat only
 
 
-def conv(in_ch, out_ch, k, stride=1, dilation=1, padding=0) -> LayerSpec:
-    return LayerSpec("conv", in_ch, out_ch, k, stride, dilation, padding)
+def conv(out_ch, k, stride=1, dilation=1, padding=0) -> LayerSpec:
+    """A conv to ``out_ch`` channels; it takes those of the layer before."""
+    return LayerSpec("conv", out_ch, k, stride, dilation, padding)
 
 
-def same_conv(in_ch, out_ch, k, dilation=1) -> LayerSpec:
+def same_conv(out_ch, k, dilation=1) -> LayerSpec:
     """Stride-1 conv padded so output extents equal input extents."""
-    return conv(in_ch, out_ch, k, 1, dilation, dilation * (k - 1) // 2)
+    return conv(out_ch, k, 1, dilation, dilation * (k - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -46,42 +46,20 @@ class NetSpec:
     role: str  # "segmenter" | "adversary"
     layers: tuple
     in_channels: int
-    out_channels: int
     image_channels: int = 0  # nonzero only for two-branch adversaries
 
-    def __post_init__(self):
-        _check_channel_chain(self)
 
-
-def _check_channel_chain(spec: "NetSpec") -> None:
-    c = _channels_into(spec, len(spec.layers))
-    if c != spec.out_channels:
-        raise ShapeError(
-            f"{spec.role}: chain ends with {c} channels, spec says {spec.out_channels}")
-
-
-def _channels_into(spec: "NetSpec", stop: int) -> int:
-    """Channels of the label path that reach layer ``stop`` (the output, at
-    ``len(spec.layers)``); raises ShapeError at a conv on the way that does
-    not take the channels that reach it."""
-    c = spec.in_channels
-    for lay in spec.layers[:stop]:
+def _channels_out(layers, c: int, image_channels: int) -> int:
+    """Channels that leave ``layers`` when ``c`` enter them: a conv sets the
+    width, and ``concat_branches`` adds that of its image branch, which
+    ``image_channels`` enter."""
+    for lay in layers:
         if lay.kind == "conv":
-            if lay.in_ch != c:
-                raise ShapeError(
-                    f"{spec.role}: conv expects {lay.in_ch} channels, gets {c}")
             c = lay.out_ch
         elif lay.kind == "concat_branches":
-            if spec.image_channels <= 0:
+            if image_channels <= 0:
                 raise ShapeError("concat_branches in a single-input spec")
-            bc = spec.image_channels
-            for bl in lay.branch:
-                if bl.kind == "conv":
-                    if bl.in_ch != bc:
-                        raise ShapeError(
-                            f"{spec.role}: branch conv expects {bl.in_ch}, gets {bc}")
-                    bc = bl.out_ch
-            c = c + bc
+            c += _channels_out(lay.branch, image_channels, 0)
     return c
 
 
@@ -95,14 +73,14 @@ def build_segmenter(num_classes: int, channels_base: int = 16,
         raise ValueError("need at least two classes")
     b = channels_base
     spec_layers = [
-        same_conv(3, b, 3), LayerSpec("relu"),
-        same_conv(b, b, 3), LayerSpec("relu"),
+        same_conv(b, 3), LayerSpec("relu"),
+        same_conv(b, 3), LayerSpec("relu"),
         LayerSpec("maxpool2"),
     ]
     for i in range(n_context_layers):
-        spec_layers += [same_conv(b, b, 3, dilation=2 ** i), LayerSpec("relu")]
-    spec_layers += [conv(b, num_classes, 1), LayerSpec("channel_softmax")]
-    return NetSpec("segmenter", tuple(spec_layers), 3, num_classes)
+        spec_layers += [same_conv(b, 3, dilation=2 ** i), LayerSpec("relu")]
+    spec_layers += [conv(num_classes, 1), LayerSpec("channel_softmax")]
+    return NetSpec("segmenter", tuple(spec_layers), 3)
 
 
 def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full",
@@ -125,37 +103,35 @@ def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full"
         widths = [max(1, w // 2) for w in widths]
     w0, w1, w2, w3, w4, w5 = widths
 
-    spec_layers: list[LayerSpec] = [same_conv(in_channels, w0, 3), LayerSpec("relu")]
-    trunk_in = w0
+    spec_layers: list[LayerSpec] = [same_conv(w0, 3), LayerSpec("relu")]
     if two_branch:
-        branch = (same_conv(3, w0, 3), LayerSpec("relu"))
+        branch = (same_conv(w0, 3), LayerSpec("relu"))
         spec_layers.append(LayerSpec("concat_branches", branch=branch))
-        trunk_in = 2 * w0
 
     if fov == "large":
         spec_layers += [
-            same_conv(trunk_in, w1, 3), LayerSpec("relu"),
-            same_conv(w1, w2, 3), LayerSpec("relu"),
+            same_conv(w1, 3), LayerSpec("relu"),
+            same_conv(w2, 3), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w2, w3, 3), LayerSpec("relu"),
-            same_conv(w3, w4, 3), LayerSpec("relu"),
+            same_conv(w3, 3), LayerSpec("relu"),
+            same_conv(w4, 3), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w4, w5, 3), LayerSpec("relu"),
+            same_conv(w5, 3), LayerSpec("relu"),
         ]
         head_k = 3
     else:
         spec_layers += [
-            conv(trunk_in, w1, 1), LayerSpec("relu"),
+            conv(w1, 1), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w1, w3, 3), LayerSpec("relu"),
-            conv(w3, w4, 1), LayerSpec("relu"),
+            same_conv(w3, 3), LayerSpec("relu"),
+            conv(w4, 1), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w4, w5, 3), LayerSpec("relu"),
+            same_conv(w5, 3), LayerSpec("relu"),
         ]
         head_k = 1
 
-    spec_layers += [same_conv(w5, 1, head_k), LayerSpec("sigmoid")]
-    return NetSpec("adversary", tuple(spec_layers), in_channels, 1,
+    spec_layers += [same_conv(1, head_k), LayerSpec("sigmoid")]
+    return NetSpec("adversary", tuple(spec_layers), in_channels,
                    image_channels=3 if two_branch else 0)
 
 
@@ -207,20 +183,20 @@ def receptive_field(spec: NetSpec) -> tuple[int, int, int]:
 
 def param_shapes(spec: NetSpec) -> dict:
     """Name -> shape of every parameter, in walk order: trunk layer i ->
-    'L{i}', image-branch layer j -> 'B{j}'."""
+    'L{i}', image-branch layer j -> 'B{j}'. A conv takes the channels that
+    leave the layers before it."""
     shapes: dict[str, tuple] = {}
 
-    def add_conv(name, lay):
-        shapes[f"{name}.kernel"] = (lay.out_ch, lay.in_ch, lay.k, lay.k)
-        shapes[f"{name}.bias"] = (lay.out_ch,)
+    def add_convs(prefix, layers, c):
+        for i, lay in enumerate(layers):
+            if lay.kind == "conv":
+                cin = _channels_out(layers[:i], c, spec.image_channels)
+                shapes[f"{prefix}{i}.kernel"] = (lay.out_ch, cin, lay.k, lay.k)
+                shapes[f"{prefix}{i}.bias"] = (lay.out_ch,)
+            elif lay.kind == "concat_branches":
+                add_convs("B", lay.branch, spec.image_channels)
 
-    for i, lay in enumerate(spec.layers):
-        if lay.kind == "conv":
-            add_conv(f"L{i}", lay)
-        elif lay.kind == "concat_branches":
-            for j, bl in enumerate(lay.branch):
-                if bl.kind == "conv":
-                    add_conv(f"B{j}", bl)
+    add_convs("L", spec.layers, spec.in_channels)
     return shapes
 
 
@@ -272,7 +248,7 @@ def forward(spec: NetSpec, params: dict, inputs, trace: list | None = None,
         x, image = inputs
     else:
         x, image = inputs, None
-    c = _channels_into(spec, start)
+    c = _channels_out(spec.layers[:start], spec.in_channels, spec.image_channels)
     if x.ndim != 4 or x.shape[1] != c:
         at = f" at layer {start}" if start else ""
         raise ShapeError(f"{spec.role} expects (N, {c}, H, W){at}, got {x.shape}")

@@ -204,9 +204,9 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic, (w, h), maxval, raw = _read_netpbm(fh, b"P6", 3)
+        (w, h), raw = _read_netpbm(fh, b"P6", 3)
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / float(maxval)
+    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm(path, labels: np.ndarray) -> None:
@@ -224,7 +224,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
 
 def read_pgm(path, num_classes: int | None = None) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic, (w, h), maxval, raw = _read_netpbm(fh, b"P5", 1)
+        (w, h), raw = _read_netpbm(fh, b"P5", 1)
     lab = np.frombuffer(raw, dtype=np.uint8).reshape(h, w).astype(np.int64)
     if num_classes is not None:
         bad = (lab >= num_classes) & (lab != VOID)
@@ -234,6 +234,7 @@ def read_pgm(path, num_classes: int | None = None) -> np.ndarray:
 
 
 def _read_netpbm(fh, expected_magic: bytes, channels: int):
+    """((w, h), payload) of a binary netpbm file with maxval 255."""
     def token():
         # skip whitespace and '#' comments, return one header token
         tok = b""
@@ -261,7 +262,7 @@ def _read_netpbm(fh, expected_magic: bytes, channels: int):
     raw = fh.read(w * h * channels)
     if len(raw) != w * h * channels:
         raise ValueError("truncated netpbm payload")
-    return magic, (w, h), maxval, raw
+    return (w, h), raw
 
 
 def save_sample(sample: Sample, directory) -> None:

@@ -50,7 +50,6 @@ import numpy as np
 
 from . import networks as N
 from .encodings import EncodingKind, build_adv_pair, downsample, one_hot
-from .labelmap import void_mask
 from .layers import local_contrast_normalize
 from .losses import adversary_objective, segmenter_objective
 from .metrics import BFConfig, evaluate_split, fmt, image_diagonal, report_values
@@ -130,8 +129,7 @@ def player_for_iteration(iteration: int, block_len: int) -> str:
 class Batch:
     images: np.ndarray        # (B, 3, H, W), each row a ``network_input``
     labels_ds: np.ndarray     # (B, h, w) at segmenter output resolution
-    target_onehot: np.ndarray
-    mask: np.ndarray
+    target_onehot: np.ndarray  # (B, C, h, w), all-zero at VOID
     samples: list             # the drawn ``Sample`` objects, in batch order
 
 
@@ -196,7 +194,6 @@ def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
         images=np.stack([network_input(s, cfg.lcn_window) for s in drawn]),
         labels_ds=labels_ds,
         target_onehot=one_hot(labels_ds, cfg.num_classes),
-        mask=void_mask(labels_ds),
         samples=drawn,
     )
 
@@ -244,9 +241,8 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                                          cfg.encoding)
                 adv_on_pred = N.forward(state.adv_spec,
                                         N.detach_params(state.adv_params), pred)
-            loss = mul(segmenter_objective(probs, batch.target_onehot, batch.mask,
-                                           adv_on_pred, cfg.lam, cfg.modified_update),
-                       1.0 / b)
+            loss = mul(segmenter_objective(probs, batch.target_onehot, adv_on_pred,
+                                           cfg.lam, cfg.modified_update), 1.0 / b)
             loss_val = loss.item()
             if math.isfinite(loss_val):
                 backward(loss)

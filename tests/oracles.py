@@ -12,11 +12,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from advseg.encodings import downsample, encode_scaling, one_hot
-from advseg.labelmap import void_mask
-from advseg.losses import apply_void_zeroing, bce_loss, mce_loss
+from advseg.labelmap import VOID
+from advseg.losses import PROB_EPS, bce_loss, mce_loss
 from advseg.metrics import boundary_mask
 from advseg.networks import NetSpec, rf_geometry
-from advseg.tensor import Tensor, concat_channels, mul, slice_channels
+from advseg.tensor import (Tensor, clamp, concat_channels, log, mul, neg, reduce_sum,
+                           slice_channels)
 
 
 def conv2d_naive(x, kernel, bias, stride=1, dilation=1, padding=0):
@@ -239,11 +240,21 @@ def min_kl_given_floor(s, true_class, tau):
 # test-only helpers over the package's own pieces
 
 
-def hybrid_loss(seg_out: Tensor, target_onehot, mask,
+def mce_reference(pred: Tensor, target, mask) -> Tensor:
+    """The cross-entropy with an explicit (N, H, W) VOID mask: the target
+    times the mask expanded over the channels, then clamp, log, mul and sum.
+    On a one-hot target, which is all-zero at VOID, ``losses.mce_loss``
+    must equal it bit for bit."""
+    weights = np.asarray(target, dtype=np.float64) * np.asarray(mask)[:, None]
+    p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
+    return neg(reduce_sum(mul(log(p), Tensor(weights))))
+
+
+def hybrid_loss(seg_out: Tensor, target_onehot,
                 adv_on_gt: Tensor, adv_on_pred: Tensor, lam: float) -> Tensor:
     """The combined two-player loss (training uses the two split
     objectives): sum_n mce - lam * [bce(a_gt, 1) + bce(a_pred, 0)]."""
-    loss = mce_loss(seg_out, target_onehot, mask)
+    loss = mce_loss(seg_out, target_onehot)
     if lam == 0.0:
         return loss
     bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
@@ -256,11 +267,11 @@ def adv_pair_reference(image, labels, seg_out: Tensor, enc):
     class map out three times, stacks the slices and multiplies them into
     the tiled image."""
     c, h = seg_out.shape[1], seg_out.shape[2]
-    mask = void_mask(labels)
+    mask = Tensor(np.repeat((labels != VOID)[:, None], c, axis=1).astype(np.float64))
     gt_map = (encode_scaling(seg_out.data, labels, enc.tau) if enc.kind == "scaling"
               else one_hot(labels, c))
-    gt = apply_void_zeroing(Tensor(gt_map), mask)
-    pred = apply_void_zeroing(seg_out, mask)
+    gt = mul(Tensor(gt_map), mask)
+    pred = mul(seg_out, mask)
     if enc.kind == "product" or enc.include_image:
         img = np.asarray(image, dtype=np.float64)
         img = downsample(img, img.shape[2] // h)

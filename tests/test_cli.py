@@ -1,7 +1,5 @@
-import os
 import shutil
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 import pytest

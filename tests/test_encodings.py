@@ -11,8 +11,7 @@ from advseg.encodings import (
     encode_scaling,
     one_hot,
 )
-from advseg.labelmap import VOID, void_mask
-from advseg.losses import apply_void_zeroing
+from advseg.labelmap import VOID
 from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
 
 from oracles import adv_pair_reference, kl_divergence, min_kl_given_floor
@@ -202,10 +201,10 @@ def test_product_encoding_commutes_with_void_zeroing():
     prob = rng.uniform(size=(1, 3, 4, 4))
     labels = rng.integers(0, 3, size=(1, 4, 4))
     labels[0, 0, :2] = VOID
-    mask = void_mask(labels)
+    labelled = (labels != VOID)[:, None]
 
-    a = encode_product(img, apply_void_zeroing(Tensor(prob), mask)).data
-    b = encode_product(img, Tensor(prob)).data * mask[:, None]
+    a = encode_product(img, Tensor(prob * labelled)).data
+    b = encode_product(img, Tensor(prob)).data * labelled
     np.testing.assert_allclose(a, b, atol=1e-15)
 
 
@@ -259,11 +258,12 @@ def test_build_adv_pair_gradient_only_through_pred():
     raw = rng.uniform(0.05, 1.0, size=(1, 2, 2, 2))
     seg = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
     labels = rng.integers(0, 2, size=(1, 2, 2))
+    labels[0, 1, 0] = VOID
     gt, pred = build_adv_pair(None, labels, seg, EncodingKind("scaling", tau=0.9))
     backward(reduce_sum(pred) + reduce_sum(gt))
     assert seg.grad is not None
-    mask = void_mask(labels)[:, None]
-    np.testing.assert_array_equal(seg.grad, np.broadcast_to(mask, seg.shape))
+    labelled = (labels != VOID)[:, None]
+    np.testing.assert_array_equal(seg.grad, np.broadcast_to(labelled, seg.shape))
 
 
 def test_encoding_kind_validation():
@@ -330,9 +330,10 @@ def _maps_with_void(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_maps_with_void())
 def test_ground_truth_maps_are_positive_zero_at_void(case):
-    """``build_adv_pair`` leaves the ground-truth side unzeroed because both
-    of its maps already hold +0.0, sign bit clear, in every channel at VOID;
-    multiplying by the 0.0 of the void mask would change no bit."""
+    """``build_adv_pair`` leaves the ground-truth side unzeroed, and
+    ``mce_loss`` takes the one-hot map as its own VOID mask, because both
+    maps already hold +0.0, sign bit clear, in every channel at VOID;
+    multiplying by the 0.0 of a void mask would change no bit."""
     s, labels, tau = case
     void = labels == VOID
     for out in (one_hot(labels, s.shape[1]), encode_scaling(s, labels, tau)):

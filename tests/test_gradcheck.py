@@ -18,7 +18,6 @@ def _whole_composition_losses(instance):
     for the gradients of the same operands."""
     seg, adv, seg_params, adv_params, x, labels = instance
     target = np.stack([labels == 0, labels == 1], axis=1).astype(np.float64)
-    mask = np.ones((1, 4, 4))
     basic = EncodingKind("basic")
     seg_fixed, adv_fixed = N.detach_params(seg_params), N.detach_params(adv_params)
 
@@ -29,7 +28,7 @@ def _whole_composition_losses(instance):
             probs = forward(seg, params, x)
             _, pred = build_adv_pair(None, labels, probs, basic)
             grid = forward(adv, adv_fixed, pred)
-            return segmenter_objective(probs, target, mask, grid, 1.0, True)
+            return segmenter_objective(probs, target, grid, 1.0, True)
         return f
 
     probs_const = forward(seg, seg_params, x).detach()

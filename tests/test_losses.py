@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from advseg.labelmap import VOID, void_mask
-from advseg.losses import (
-    adversary_objective,
-    apply_void_zeroing,
-    bce_loss,
-    expand_mask,
-    mce_loss,
-    segmenter_objective,
-)
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
+from advseg.encodings import EncodingKind, build_adv_pair, one_hot
+from advseg.labelmap import VOID
+from advseg.losses import adversary_objective, bce_loss, mce_loss, segmenter_objective
+from advseg.networks import build_adversary, detach_params, forward, init_params
+from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul
 
-from oracles import hybrid_loss
+from oracles import hybrid_loss, mce_reference
 
 LN2 = math.log(2.0)
 
@@ -28,23 +23,21 @@ def test_mce_perfect_prediction_near_zero():
     y = np.zeros((1, 2, 2, 2))
     y[0, 0] = 1.0
     pred = Tensor(y.copy())
-    loss = mce_loss(pred, y, np.ones((1, 2, 2))).item()
+    loss = mce_loss(pred, y).item()
     assert 0.0 <= loss < 4 * 1e-6  # clamp to 1 - 1e-7 leaves ~1e-7 per pixel
 
 
 def test_mce_hand_value():
     pred = Tensor(np.array([0.8, 0.2]).reshape(1, 2, 1, 1))
     target = np.array([1.0, 0.0]).reshape(1, 2, 1, 1)
-    loss = mce_loss(pred, target, np.ones((1, 1, 1))).item()
+    loss = mce_loss(pred, target).item()
     assert abs(loss - 0.2231435513) < 1e-9
 
 
 def test_mce_all_void_zero_loss_and_grad():
     rng = np.random.default_rng(0)
     pred = Tensor(_softmax_like(rng, (1, 3, 2, 2)), requires_grad=True)
-    labels = np.full((1, 2, 2), VOID)
-    target = np.zeros((1, 3, 2, 2))
-    loss = mce_loss(pred, target, void_mask(labels))
+    loss = mce_loss(pred, one_hot(np.full((1, 2, 2), VOID), 3))
     assert loss.item() == 0.0
     backward(loss)
     np.testing.assert_array_equal(pred.grad, np.zeros_like(pred.data))
@@ -52,7 +45,7 @@ def test_mce_all_void_zero_loss_and_grad():
 
 def test_mce_shape_mismatch():
     with pytest.raises(ShapeError):
-        mce_loss(Tensor(np.ones((1, 2, 2, 2))), np.ones((1, 3, 2, 2)), np.ones((1, 2, 2)))
+        mce_loss(Tensor(np.ones((1, 2, 2, 2))), np.ones((1, 3, 2, 2)))
 
 
 def _cell(value):
@@ -89,10 +82,9 @@ def test_hybrid_reduces_to_mce_at_lambda_zero():
     pred = Tensor(_softmax_like(rng, (2, 3, 4, 4)))
     target = _softmax_like(rng, (2, 3, 4, 4)) > 0.5
     target = target.astype(float)
-    mask = np.ones((2, 4, 4))
     adv = Tensor(np.full((2, 1, 2, 2), 0.7))
-    h = hybrid_loss(pred, target, mask, adv, adv, 0.0).item()
-    m = mce_loss(pred, target, mask).item()
+    h = hybrid_loss(pred, target, adv, adv, 0.0).item()
+    m = mce_loss(pred, target).item()
     assert h == m
 
 
@@ -102,10 +94,9 @@ def test_hybrid_with_uninformed_adversary():
     pred = Tensor(_softmax_like(rng, (n, 2, 2, 2)))
     target = np.zeros((n, 2, 2, 2))
     target[:, 0] = 1.0
-    mask = np.ones((n, 2, 2))
     adv = Tensor(np.full((n, 1, 1, 1), 0.5))
-    h = hybrid_loss(pred, target, mask, adv, adv, 1.0).item()
-    m = mce_loss(pred, target, mask).item()
+    h = hybrid_loss(pred, target, adv, adv, 1.0).item()
+    m = mce_loss(pred, target).item()
     assert abs(h - (m - 2 * LN2 * n)) < 1e-9
 
 
@@ -114,11 +105,10 @@ def test_hybrid_with_perfect_adversary():
     pred = Tensor(_softmax_like(rng, (1, 2, 2, 2)))
     target = np.zeros((1, 2, 2, 2))
     target[:, 0] = 1.0
-    mask = np.ones((1, 2, 2))
     adv_gt = Tensor(np.full((1, 1, 1, 1), 1.0 - 1e-7))
     adv_pred = Tensor(np.full((1, 1, 1, 1), 1e-7))
-    h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, 1.0).item()
-    m = mce_loss(pred, target, mask).item()
+    h = hybrid_loss(pred, target, adv_gt, adv_pred, 1.0).item()
+    m = mce_loss(pred, target).item()
     assert abs(h - m) < 1e-6
 
 
@@ -141,11 +131,10 @@ def test_adversary_objective_zero_sum_with_hybrid_bracket():
         pred = Tensor(_softmax_like(rng, (2, 3, 2, 2)))
         target = np.zeros((2, 3, 2, 2))
         target[:, 1] = 1.0
-        mask = np.ones((2, 2, 2))
         adv_gt = Tensor(rng.uniform(0.01, 0.99, size=(2, 1, 1, 1)))
         adv_pred = Tensor(rng.uniform(0.01, 0.99, size=(2, 1, 1, 1)))
-        h = hybrid_loss(pred, target, mask, adv_gt, adv_pred, lam).item()
-        m = mce_loss(pred, target, mask).item()
+        h = hybrid_loss(pred, target, adv_gt, adv_pred, lam).item()
+        m = mce_loss(pred, target).item()
         a = adversary_objective(adv_gt, adv_pred).item()
         assert abs(a - (-(h - m) / lam)) < 1e-12
 
@@ -155,14 +144,12 @@ def test_segmenter_objective_lambda_zero_matches_mce_gradient():
     logits = Tensor(rng.normal(size=(1, 3, 2, 2)), requires_grad=True)
     target = np.zeros((1, 3, 2, 2))
     target[0, 2] = 1.0
-    mask = np.ones((1, 2, 2))
     from advseg.layers import channel_softmax
 
-    backward(segmenter_objective(channel_softmax(logits), target, mask, None,
-                                 0.0, True))
+    backward(segmenter_objective(channel_softmax(logits), target, None, 0.0, True))
     g1 = logits.grad.copy()
     logits.zero_grad()
-    backward(mce_loss(channel_softmax(logits), target, mask))
+    backward(mce_loss(channel_softmax(logits), target))
     np.testing.assert_array_equal(g1, logits.grad)
 
 
@@ -171,12 +158,11 @@ def test_segmenter_objective_surrogate_values_at_half():
     pred = Tensor(_softmax_like(rng, (1, 2, 2, 2)))
     target = np.zeros((1, 2, 2, 2))
     target[:, 0] = 1.0
-    mask = np.ones((1, 2, 2))
     adv = Tensor(np.full((1, 1, 1, 1), 0.5))
-    m = mce_loss(pred, target, mask).item()
+    m = mce_loss(pred, target).item()
     lam = 0.7
-    modified = segmenter_objective(pred, target, mask, adv, lam, True).item()
-    original = segmenter_objective(pred, target, mask, adv, lam, False).item()
+    modified = segmenter_objective(pred, target, adv, lam, True).item()
+    original = segmenter_objective(pred, target, adv, lam, False).item()
     assert abs(modified - (m + lam * LN2)) < 1e-12
     assert abs(original - (m - lam * LN2)) < 1e-12
 
@@ -197,37 +183,11 @@ def test_surrogate_gradients_same_sign_and_ratio():
         assert abs(ratio - a_val / (1.0 - a_val)) < 1e-9
 
 
-def test_apply_void_zeroing_identity_and_annihilation():
-    rng = np.random.default_rng(7)
-    prob = Tensor(rng.uniform(size=(1, 3, 2, 2)))
-    out = apply_void_zeroing(prob, np.ones((1, 2, 2)))
-    np.testing.assert_array_equal(out.data, prob.data)
-    out = apply_void_zeroing(prob, np.zeros((1, 2, 2)))
-    np.testing.assert_array_equal(out.data, np.zeros_like(prob.data))
-
-
-def test_apply_void_zeroing_kills_gradient():
-    rng = np.random.default_rng(8)
-    mask = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    x = Tensor(rng.uniform(0.2, 0.8, size=(1, 2, 2, 2)))
-
-    def f(t):
-        return reduce_sum(mul(apply_void_zeroing(t, mask), apply_void_zeroing(t, mask)))
-
-    assert grad_check(f, x) < 1e-4
-    x.zero_grad()
-    backward(f(x))
-    assert np.all(x.grad[0, :, 0, 1] == 0.0)
-    assert np.all(x.grad[0, :, 1, 0] == 0.0)
-
-
 def test_losses_grad_checks():
     rng = np.random.default_rng(9)
     pred = Tensor(_softmax_like(rng, (1, 3, 2, 2)))
-    target = np.zeros((1, 3, 2, 2))
-    target[0, 1] = 1.0
-    mask = np.array([[[1.0, 1.0], [0.0, 1.0]]])
-    assert grad_check(lambda t: mce_loss(t, target, mask), pred) < 1e-4
+    target = one_hot(np.array([[[1, 1], [VOID, 1]]]), 3)
+    assert grad_check(lambda t: mce_loss(t, target), pred) < 1e-4
 
     grid = Tensor(rng.uniform(0.1, 0.9, size=(2, 1, 2, 2)))
     assert grad_check(lambda t: bce_loss(t, 1), grid) < 1e-4
@@ -237,22 +197,52 @@ def test_losses_grad_checks():
 def test_objectives_finite_under_extreme_inputs():
     pred = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
     target = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
-    mask = np.ones((1, 1, 1))
     adv = Tensor(np.zeros((1, 1, 1, 1)))
-    for v in (mce_loss(pred, target, mask),
-              segmenter_objective(pred, target, mask, adv, 2.0, True),
-              hybrid_loss(pred, target, mask, adv, adv, 2.0)):
+    for v in (mce_loss(pred, target),
+              segmenter_objective(pred, target, adv, 2.0, True),
+              hybrid_loss(pred, target, adv, adv, 2.0)):
         assert np.isfinite(v.item())
 
 
-def test_expand_mask_shapes():
-    shape = (2, 3, 4, 4)
-    rng = np.random.default_rng(0)
-    per_image = rng.integers(0, 2, size=(2, 4, 4)).astype(float)
-    for c in range(3):
-        np.testing.assert_array_equal(expand_mask(per_image, shape)[:, c], per_image)
-    # one mask per image of the batch, nothing shared or broadcast
-    for bad in ((4, 4), (1, 4, 4), (1, 5, 5), (5, 5), (3, 4, 4), (2, 4, 5), (2, 4),
-                (2, 1, 4, 4), ()):
-        with pytest.raises(ShapeError):
-            expand_mask(np.ones(bad), shape)
+def test_mce_and_objectives_match_the_masked_reference_bit_for_bit():
+    """With the one-hot target as its own VOID mask, the cross-entropy and
+    both segmenter updates equal, as bytes, in value and in the gradient
+    that reaches the prediction, the route that multiplies the target by an
+    explicit mask (``oracles.mce_reference``)."""
+    rng = np.random.default_rng(10)
+    c = 3
+    probs = _softmax_like(rng, (2, c, 4, 4))
+    labels = rng.integers(0, c, size=(2, 4, 4))
+    labels[0, 0, :] = VOID
+    labels[1, 2:, 1] = VOID
+    target, mask = one_hot(labels, c), (labels != VOID).astype(np.float64)
+    adv = build_adversary(c, "small", "light")
+    adv_params = detach_params(init_params(adv, 1))
+
+    def adv_on(pred):
+        _, side = build_adv_pair(None, labels, pred, EncodingKind("basic"))
+        return forward(adv, adv_params, side)
+
+    def run(loss_of):
+        pred = Tensor(probs.copy(), requires_grad=True)
+        loss = loss_of(pred)
+        backward(loss)
+        return loss.data.tobytes(), pred.grad.tobytes()
+
+    assert (run(lambda p: mce_loss(p, target))
+            == run(lambda p: mce_reference(p, target, mask)))
+    lam = 0.7
+    assert (run(lambda p: segmenter_objective(p, target, adv_on(p), lam, True))
+            == run(lambda p: mce_reference(p, target, mask)
+                   + mul(bce_loss(adv_on(p), 1), lam)))
+    assert (run(lambda p: segmenter_objective(p, target, adv_on(p), lam, False))
+            == run(lambda p: mce_reference(p, target, mask)
+                   - mul(bce_loss(adv_on(p), 0), lam)))
+
+    # negative control: a target row that is nonzero at a VOID pixel is
+    # scored by the loss but masked out by the reference
+    stray = target.copy()
+    stray[0, 1, 0, 2] = 1.0
+    loss, grad = run(lambda p: mce_loss(p, stray))
+    ref_loss, ref_grad = run(lambda p: mce_reference(p, stray, mask))
+    assert loss != ref_loss and grad != ref_grad

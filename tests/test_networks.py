@@ -18,7 +18,8 @@ from advseg.networks import (
     same_conv,
     save_params,
 )
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
+from advseg.tensor import ShapeError, Tensor, grad_check, mul, reduce_sum
+from advseg.training import TrainConfig, network_specs
 
 from oracles import affected_outputs
 
@@ -98,26 +99,27 @@ def test_adversary_grid_16x_smaller_than_segmenter_output():
     assert np.all(grid.data > 0) and np.all(grid.data < 1)
 
 
-def test_channel_chain_validation():
-    with pytest.raises(ShapeError):
-        NetSpec("segmenter", (conv(3, 8, 3), conv(4, 8, 3)), 3, 8)
-    with pytest.raises(ShapeError):
-        NetSpec("segmenter", (conv(3, 8, 3),), 3, 9)
+def test_channel_walk_rejects_a_merge_without_image_channels():
+    merge = LayerSpec("concat_branches", branch=(same_conv(2, 3),))
+    spec = NetSpec("adversary", (same_conv(2, 3), merge, same_conv(1, 3)), 2)
+    with pytest.raises(ShapeError, match="concat_branches in a single-input spec"):
+        param_shapes(spec)
+    with pytest.raises(ShapeError, match="concat_branches in a single-input spec"):
+        forward(spec, {}, Tensor(np.zeros((1, 2, 4, 4))), start=2)
 
 
 def test_receptive_field_examples():
-    two_convs = NetSpec("segmenter", (same_conv(1, 1, 3), same_conv(1, 1, 3)), 1, 1)
+    two_convs = NetSpec("segmenter", (same_conv(1, 3), same_conv(1, 3)), 1)
     assert receptive_field(two_convs)[:2] == (5, 5)
-    dilated = NetSpec("segmenter", (same_conv(1, 1, 3, dilation=2),), 1, 1)
+    dilated = NetSpec("segmenter", (same_conv(1, 3, dilation=2),), 1)
     assert receptive_field(dilated)[:2] == (5, 5)
-    pointwise = NetSpec("segmenter", (conv(1, 1, 1),), 1, 1)
+    pointwise = NetSpec("segmenter", (conv(1, 1),), 1)
     assert receptive_field(pointwise) == (1, 1, 1)
 
 
 def test_receptive_field_rejects_unknown_kind():
     spec = build_segmenter(2)
-    bad = NetSpec("segmenter", spec.layers[:-1] + (LayerSpec("mystery"),),
-                  3, spec.out_channels)
+    bad = NetSpec("segmenter", spec.layers[:-1] + (LayerSpec("mystery"),), 3)
     with pytest.raises(ValueError):
         receptive_field(bad)
 
@@ -245,6 +247,113 @@ def test_checkpoint_layout(tmp_path):
                      for name, shape in param_shapes(spec).items())
     payload = b"".join(t.data.astype("<f8").tobytes() for t in params.values())
     assert path.read_bytes() == b"ADVSEG-PARAMS 2\n8\n" + index + payload
+
+
+# param_shapes of every shipped network, names and shapes in order: the
+# layout of its checkpoints, which the way conv input widths are derived
+# must not move
+SEGMENTER_LAYOUTS = {
+    "default":
+        "L0.kernel 16,3,3,3  L0.bias 16  L2.kernel 16,16,3,3  L2.bias 16  "
+        "L5.kernel 16,16,3,3  L5.bias 16  L7.kernel 16,16,3,3  L7.bias 16  "
+        "L9.kernel 16,16,3,3  L9.bias 16  L11.kernel 16,16,3,3  L11.bias 16  "
+        "L13.kernel 4,16,1,1  L13.bias 4",
+    (2, 3, 1):
+        "L0.kernel 3,3,3,3  L0.bias 3  L2.kernel 3,3,3,3  L2.bias 3  "
+        "L5.kernel 3,3,3,3  L5.bias 3  L7.kernel 2,3,1,1  L7.bias 2",
+}
+ADVERSARY_LAYOUTS = {
+    (4, "large", "full", False):
+        "L0.kernel 12,4,3,3  L0.bias 12  L2.kernel 16,12,3,3  L2.bias 16  "
+        "L4.kernel 16,16,3,3  L4.bias 16  L7.kernel 32,16,3,3  L7.bias 32  "
+        "L9.kernel 32,32,3,3  L9.bias 32  L12.kernel 64,32,3,3  L12.bias 64  "
+        "L14.kernel 1,64,3,3  L14.bias 1",
+    (4, "large", "full", True):
+        "L0.kernel 12,4,3,3  L0.bias 12  B0.kernel 12,3,3,3  B0.bias 12  "
+        "L3.kernel 16,24,3,3  L3.bias 16  L5.kernel 16,16,3,3  L5.bias 16  "
+        "L8.kernel 32,16,3,3  L8.bias 32  L10.kernel 32,32,3,3  L10.bias 32  "
+        "L13.kernel 64,32,3,3  L13.bias 64  L15.kernel 1,64,3,3  L15.bias 1",
+    (4, "large", "light", False):
+        "L0.kernel 6,4,3,3  L0.bias 6  L2.kernel 8,6,3,3  L2.bias 8  "
+        "L4.kernel 8,8,3,3  L4.bias 8  L7.kernel 16,8,3,3  L7.bias 16  "
+        "L9.kernel 16,16,3,3  L9.bias 16  L12.kernel 32,16,3,3  L12.bias 32  "
+        "L14.kernel 1,32,3,3  L14.bias 1",
+    (4, "large", "light", True):
+        "L0.kernel 6,4,3,3  L0.bias 6  B0.kernel 6,3,3,3  B0.bias 6  "
+        "L3.kernel 8,12,3,3  L3.bias 8  L5.kernel 8,8,3,3  L5.bias 8  "
+        "L8.kernel 16,8,3,3  L8.bias 16  L10.kernel 16,16,3,3  L10.bias 16  "
+        "L13.kernel 32,16,3,3  L13.bias 32  L15.kernel 1,32,3,3  L15.bias 1",
+    (4, "small", "full", False):
+        "L0.kernel 12,4,3,3  L0.bias 12  L2.kernel 16,12,1,1  L2.bias 16  "
+        "L5.kernel 32,16,3,3  L5.bias 32  L7.kernel 32,32,1,1  L7.bias 32  "
+        "L10.kernel 64,32,3,3  L10.bias 64  L12.kernel 1,64,1,1  L12.bias 1",
+    (4, "small", "full", True):
+        "L0.kernel 12,4,3,3  L0.bias 12  B0.kernel 12,3,3,3  B0.bias 12  "
+        "L3.kernel 16,24,1,1  L3.bias 16  L6.kernel 32,16,3,3  L6.bias 32  "
+        "L8.kernel 32,32,1,1  L8.bias 32  L11.kernel 64,32,3,3  L11.bias 64  "
+        "L13.kernel 1,64,1,1  L13.bias 1",
+    (4, "small", "light", False):
+        "L0.kernel 6,4,3,3  L0.bias 6  L2.kernel 8,6,1,1  L2.bias 8  "
+        "L5.kernel 16,8,3,3  L5.bias 16  L7.kernel 16,16,1,1  L7.bias 16  "
+        "L10.kernel 32,16,3,3  L10.bias 32  L12.kernel 1,32,1,1  L12.bias 1",
+    (4, "small", "light", True):
+        "L0.kernel 6,4,3,3  L0.bias 6  B0.kernel 6,3,3,3  B0.bias 6  "
+        "L3.kernel 8,12,1,1  L3.bias 8  L6.kernel 16,8,3,3  L6.bias 16  "
+        "L8.kernel 16,16,1,1  L8.bias 16  L11.kernel 32,16,3,3  L11.bias 32  "
+        "L13.kernel 1,32,1,1  L13.bias 1",
+    (12, "large", "full", False):
+        "L0.kernel 12,12,3,3  L0.bias 12  L2.kernel 16,12,3,3  L2.bias 16  "
+        "L4.kernel 16,16,3,3  L4.bias 16  L7.kernel 32,16,3,3  L7.bias 32  "
+        "L9.kernel 32,32,3,3  L9.bias 32  L12.kernel 64,32,3,3  L12.bias 64  "
+        "L14.kernel 1,64,3,3  L14.bias 1",
+    (12, "large", "full", True):
+        "L0.kernel 12,12,3,3  L0.bias 12  B0.kernel 12,3,3,3  B0.bias 12  "
+        "L3.kernel 16,24,3,3  L3.bias 16  L5.kernel 16,16,3,3  L5.bias 16  "
+        "L8.kernel 32,16,3,3  L8.bias 32  L10.kernel 32,32,3,3  L10.bias 32  "
+        "L13.kernel 64,32,3,3  L13.bias 64  L15.kernel 1,64,3,3  L15.bias 1",
+    (12, "large", "light", False):
+        "L0.kernel 6,12,3,3  L0.bias 6  L2.kernel 8,6,3,3  L2.bias 8  "
+        "L4.kernel 8,8,3,3  L4.bias 8  L7.kernel 16,8,3,3  L7.bias 16  "
+        "L9.kernel 16,16,3,3  L9.bias 16  L12.kernel 32,16,3,3  L12.bias 32  "
+        "L14.kernel 1,32,3,3  L14.bias 1",
+    (12, "large", "light", True):
+        "L0.kernel 6,12,3,3  L0.bias 6  B0.kernel 6,3,3,3  B0.bias 6  "
+        "L3.kernel 8,12,3,3  L3.bias 8  L5.kernel 8,8,3,3  L5.bias 8  "
+        "L8.kernel 16,8,3,3  L8.bias 16  L10.kernel 16,16,3,3  L10.bias 16  "
+        "L13.kernel 32,16,3,3  L13.bias 32  L15.kernel 1,32,3,3  L15.bias 1",
+    (12, "small", "full", False):
+        "L0.kernel 12,12,3,3  L0.bias 12  L2.kernel 16,12,1,1  L2.bias 16  "
+        "L5.kernel 32,16,3,3  L5.bias 32  L7.kernel 32,32,1,1  L7.bias 32  "
+        "L10.kernel 64,32,3,3  L10.bias 64  L12.kernel 1,64,1,1  L12.bias 1",
+    (12, "small", "full", True):
+        "L0.kernel 12,12,3,3  L0.bias 12  B0.kernel 12,3,3,3  B0.bias 12  "
+        "L3.kernel 16,24,1,1  L3.bias 16  L6.kernel 32,16,3,3  L6.bias 32  "
+        "L8.kernel 32,32,1,1  L8.bias 32  L11.kernel 64,32,3,3  L11.bias 64  "
+        "L13.kernel 1,64,1,1  L13.bias 1",
+    (12, "small", "light", False):
+        "L0.kernel 6,12,3,3  L0.bias 6  L2.kernel 8,6,1,1  L2.bias 8  "
+        "L5.kernel 16,8,3,3  L5.bias 16  L7.kernel 16,16,1,1  L7.bias 16  "
+        "L10.kernel 32,16,3,3  L10.bias 32  L12.kernel 1,32,1,1  L12.bias 1",
+    (12, "small", "light", True):
+        "L0.kernel 6,12,3,3  L0.bias 6  B0.kernel 6,3,3,3  B0.bias 6  "
+        "L3.kernel 8,12,1,1  L3.bias 8  L6.kernel 16,8,3,3  L6.bias 16  "
+        "L8.kernel 16,16,1,1  L8.bias 16  L11.kernel 32,16,3,3  L11.bias 32  "
+        "L13.kernel 1,32,1,1  L13.bias 1",
+}
+
+
+def _layout(spec):
+    return "  ".join(f"{name} {','.join(map(str, shape))}"
+                     for name, shape in param_shapes(spec).items())
+
+
+def test_parameter_layouts_are_pinned():
+    cases = [(key, network_specs(TrainConfig())[0] if key == "default"
+              else build_segmenter(*key), want)
+             for key, want in SEGMENTER_LAYOUTS.items()]
+    cases += [(key, build_adversary(*key), want) for key, want in ADVERSARY_LAYOUTS.items()]
+    moved = [key for key, spec, want in cases if _layout(spec) != want]
+    assert not moved, f"parameter layouts moved: {moved}"
 
 
 def test_load_params_rejects_every_truncation(tmp_path):

@@ -1,9 +1,10 @@
 """What ``src/advseg`` holds: the code that an ``advseg`` command runs.
 
-Two guards keep it that way. Every definition must be reachable by name
-from ``cli.main`` or from module-level code, and every op kind a training
-turn records must have a gradcheck case, with no case for an op kind that
-no training turn records.
+Three guards keep it that way. Every definition must be reachable by name
+from ``cli.main`` or from module-level code; every module-level import in
+``src/advseg`` and ``tests`` must be read by its module; and every op kind
+a training turn records must have a gradcheck case, with no case for an op
+kind that no training turn records.
 """
 
 import ast
@@ -19,6 +20,7 @@ from advseg.encodings import EncodingKind
 from advseg.toyscenes import SceneSpec, make_dataset
 
 SRC = Path(advseg.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _read_names(node):
@@ -108,6 +110,46 @@ def test_reachability_walk_reports_an_unused_definition(tmp_path):
         "def unused(x: Box) -> Box:\n    return x\n")
     assert unreached_definitions(tmp_path) == ["helpers.Box.unused_method",
                                                "helpers.unused"]
+
+
+def unused_imports(paths):
+    """'<module>.<name>' for every name that a module-level import of one of
+    ``paths`` binds and that its module never reads. Names listed in the
+    module's ``__all__`` count as read, and ``from __future__`` imports are
+    exempt."""
+    unused = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.stem}.{bound}")
+    return unused
+
+
+def test_every_module_level_import_is_read():
+    unused = unused_imports([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+    assert not unused, f"imports that their module never reads: {', '.join(unused)}"
+
+
+def test_import_scan_reports_an_unread_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport json as js\nfrom math import pi, tau\n"
+        "from pathlib import Path\nimport sys\n\n"
+        "__all__ = [\"sys\"]\n\n\n"
+        "def f(p: Path) -> float:\n    return os.path.join(str(p)) and pi\n")
+    assert unused_imports([tmp_path / "mod.py"]) == ["mod.js", "mod.tau"]
 
 
 # one segmenter turn and one adversary turn of each configuration; at
