@@ -1,33 +1,32 @@
-"""Differentiable neural layers: strided/dilated convolution, 2x2 max
+"""Differentiable neural layers: same-padded dilated convolution, 2x2 max
 pooling, activations, per-pixel softmax, and local contrast normalization.
 
-Convolution uses cross-correlation semantics (no kernel flip), symmetric
-zero-padding only. All tensors are NCHW.
+Every convolution is a cross-correlation (no kernel flip) at stride 1 with
+an odd k x k kernel, zero-padded by dilation*(k-1)/2 on every side, so its
+output has the input's extents. All tensors are NCHW.
 
 Every convolution product goes through one routine, :func:`_correlate`.
-It writes a zero grid and then, one band of output rows at a time for the
-whole batch, that band's im2col columns into a per-thread scratch buffer
-that is reused from call to call. Each band's ``np.matmul`` writes straight
-into its rows of the result, so the columns stay in cache and are never
-held for the whole output at once (Goto & van de Geijn, "Anatomy of
-High-Performance Matrix Multiplication", ACM TOMS 2008). A 1x1 kernel at
-stride 1 over an unpadded, C-contiguous operand needs no grid: its columns
+It writes the zero-padded grid of its operand and then, one band of output
+rows at a time for the whole batch, that band's im2col columns into a
+per-thread scratch buffer that is reused from call to call. Each band's
+``np.matmul`` writes straight into its rows of the result, so the columns
+stay in cache and are never held for the whole output at once (Goto & van
+de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+2008). A 1x1 kernel over a C-contiguous operand needs no grid: its columns
 are the operand itself, so each band's are a view of the operand's rows,
 and nothing is filled or copied. The bands and their sums stay as they
-are, so this gives the grid's bits. The forward pass
-correlates the padded input with the kernel. When the input needs a
-gradient, backward builds one set of columns, from the output gradient
-zero-dilated by the stride and padded by the effective kernel extent
-(Dumoulin & Visin, "A guide to convolution arithmetic", arXiv 1603.07285).
-Against the flipped, transposed kernel they give the input gradient;
-against the input, summed over bands and flipped back, the kernel
-gradient. When only the kernel gradient is needed (a network's first
-layer), backward rebuilds the forward's columns of the padded input, which
-are the smaller set when the layer has fewer input than output channels,
-and sums their products with the output gradient. The graph keeps no
-columns, and the input only when the kernel gradient is needed. Backward
-computes only the gradients whose operands required one when the op was
-built.
+are, so this gives the grid's bits. The forward pass correlates the input
+with the kernel. When the input needs a gradient, backward builds one set
+of columns, from the output gradient padded the same way (Dumoulin &
+Visin, "A guide to convolution arithmetic", arXiv 1603.07285). Against the
+flipped, transposed kernel they give the input gradient; against the
+input, summed over bands and flipped back, the kernel gradient. When only
+the kernel gradient is needed (a network's first layer), backward rebuilds
+the forward's columns of the input, which are the smaller set when the
+layer has fewer input than output channels, and sums their products with
+the output gradient. The graph keeps no columns, and the input only when
+the kernel gradient is needed. Backward computes only the gradients whose
+operands required one when the op was built.
 
 Max pooling reads the four strided views ``x[:, :, i::2, j::2]`` of its
 input, one per window position, and copies nothing: the forward pass is an
@@ -60,32 +59,27 @@ BAND = 128
 
 @dataclass
 class ConvParams:
-    """Learnable state plus geometry for one convolution.
+    """Learnable state plus dilation for one convolution.
 
-    kernel: (out_channels, in_channels, kh, kw); bias: (out_channels,).
-    Effective kernel extent is dilation*(k-1)+1 and must fit in the padded
-    input.
+    kernel: (out_channels, in_channels, k, k) with k odd; bias:
+    (out_channels,).
     """
 
     kernel: Tensor
     bias: Tensor
-    stride: int = 1
     dilation: int = 1
-    padding: int = 0
 
     def __post_init__(self):
         if self.kernel.ndim != 4:
-            raise ShapeError("conv kernel must be 4D (out, in, kh, kw)")
+            raise ShapeError("conv kernel must be 4D (out, in, k, k)")
         if self.bias.ndim != 1 or self.bias.shape[0] != self.kernel.shape[0]:
             raise ShapeError("conv bias must be 1D with out_channels entries")
-        if self.stride < 1 or self.dilation < 1 or self.padding < 0:
-            raise ValueError("stride/dilation must be >= 1, padding >= 0")
-        if self.kernel.shape[2] < 1 or self.kernel.shape[3] < 1:
-            raise ShapeError("kernel extents must be >= 1")
-
-
-def conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: int) -> int:
-    return (extent + 2 * padding - (dilation * (k - 1) + 1)) // stride + 1
+        if self.dilation < 1:
+            raise ValueError("dilation must be >= 1")
+        kh, kw = self.kernel.shape[2:]
+        if kh != kw or kh % 2 == 0:
+            raise ShapeError(f"conv kernel must be square with an odd extent, "
+                             f"got {kh}x{kw}")
 
 
 def band_rows(wout: int) -> int:
@@ -93,42 +87,30 @@ def band_rows(wout: int) -> int:
     return max(1, BAND // wout)
 
 
-def _kept(offset: int, step: int, count: int, extent: int) -> slice:
-    """Indices i < count whose position offset + i*step lies in [0, extent)."""
-    return slice(max(0, -(offset // step)),
-                 min(count, (extent - 1 - offset) // step + 1))
-
-
-def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
-               dilation: int, kernel: np.ndarray | None = None,
+def _correlate(a: np.ndarray, k: int, dilation: int, kernel: np.ndarray | None = None,
                other: np.ndarray | None = None) -> tuple:
-    """Products of the im2col columns ``cols`` (n, c*kh*kw, hout*wout) of
-    the zero grid that ``place`` makes of ``a`` (n, c, ah, aw), built one
+    """Products of the im2col columns ``cols`` (n, c*k*k, h*w) of ``a``
+    (n, c, h, w) zero-padded by dilation*(k-1)/2 on every side, built one
     band of output rows at a time into this thread's scratch buffer:
 
-    - ``kernel @ cols`` (n, cout, hout, wout), if ``kernel`` (cout, c*kh*kw)
-      is given;
-    - the sum over images of ``cols @ other.T`` (c*kh*kw, d), if ``other``
-      (n, d, hout, wout) is given.
+    - ``kernel @ cols`` (n, cout, h, w), if ``kernel`` (cout, c*k*k) is
+      given;
+    - the sum over images of ``cols @ other.T`` (c*k*k, d), if ``other``
+      (n, d, h, w) is given.
 
     Returns both, ``None`` for one not asked for; both are fresh arrays.
-    ``place`` is (step, top, left, height, width): the grid is
-    (n, c, height, width) and ``a[..., i, j]`` sits at (top + i*step,
-    left + j*step). Entries of ``a`` that fall outside the grid are dropped.
-    A 1x1 kernel at stride 1 whose grid is ``a`` as it is reads each band's
-    columns as a view of ``a`` (C-contiguous) and writes no grid.
+    A 1x1 kernel over a C-contiguous ``a`` reads each band's columns as a
+    view of ``a`` and writes no grid.
     """
-    step, top, left, height, width = place
-    n, c, ah, aw = a.shape
-    hout = conv_out_extent(height, kh, stride, dilation, 0)
-    wout = conv_out_extent(width, kw, stride, dilation, 0)
-    rows = band_rows(wout)
-    depth = c * kh * kw
-    as_is = (kh == kw == stride == 1 and place == (1, 0, 0, ah, aw)
-             and a.flags.c_contiguous)
+    n, c, h, w = a.shape
+    rows = band_rows(w)
+    depth = c * k * k
+    as_is = k == 1 and a.flags.c_contiguous
     if not as_is:
+        pad = dilation * (k - 1) // 2
+        height, width = h + 2 * pad, w + 2 * pad
         n_grid = n * c * height * width
-        n_all = n_grid + n * depth * min(rows, hout) * wout
+        n_all = n_grid + n * depth * min(rows, h) * w
         buf = getattr(_workspace, "buf", None)
         if buf is None or buf.size < n_all:
             raw = np.empty(n_all + 7)
@@ -136,62 +118,51 @@ def _correlate(a: np.ndarray, place: tuple, kh: int, kw: int, stride: int,
             buf = _workspace.buf = raw[skip: skip + n_all]
         grid = buf[:n_grid].reshape(n, c, height, width)
         grid.fill(0.0)
-        ri, rj = _kept(top, step, ah, height), _kept(left, step, aw, width)
-        if ri.start < ri.stop and rj.start < rj.stop:
-            grid[:, :, top + ri.start * step: top + (ri.stop - 1) * step + 1: step,
-                 left + rj.start * step: left + (rj.stop - 1) * step + 1: step] = a[:, :, ri, rj]
+        grid[:, :, pad: pad + h, pad: pad + w] = a
         s3 = buf.itemsize
         s2 = width * s3
-        windows = np.ndarray((n, c, kh, kw, hout, wout), buf.dtype, buf, 0,
+        windows = np.ndarray((n, c, k, k, h, w), buf.dtype, buf, 0,
                              (c * height * s2, height * s2, s2 * dilation,
-                              s3 * dilation, s2 * stride, s3 * stride))
+                              s3 * dilation, s2, s3))
     out = acc = None
     if kernel is not None:
-        out = np.empty((n, kernel.shape[0], hout * wout))
+        out = np.empty((n, kernel.shape[0], h * w))
     if other is not None:
         acc = np.zeros((depth, other.shape[1]))
-        other = other.reshape(n, other.shape[1], hout * wout)
-    for r0 in range(0, hout, rows):
-        r1 = min(r0 + rows, hout)
-        p0, p1 = r0 * wout, r1 * wout
+        other = other.reshape(n, other.shape[1], h * w)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        p0, p1 = r0 * w, r1 * w
         if as_is:
             cols = a[:, :, r0:r1, :].reshape(n, depth, p1 - p0)
         else:
             cols = buf[n_grid: n_grid + n * depth * (p1 - p0)].reshape(n, depth, p1 - p0)
-            np.copyto(cols.reshape(n, c, kh, kw, r1 - r0, wout), windows[..., r0:r1, :])
+            np.copyto(cols.reshape(n, c, k, k, r1 - r0, w), windows[..., r0:r1, :])
         if out is not None:
             np.matmul(kernel, cols, out=out[:, :, p0:p1])
         if acc is not None:
             acc += np.matmul(cols, other[:, :, p0:p1].transpose(0, 2, 1)).sum(axis=0)
     if out is not None:
-        out = out.reshape(n, kernel.shape[0], hout, wout)
+        out = out.reshape(n, kernel.shape[0], h, w)
     return out, acc
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """Cross-correlate ``x`` (N, Cin, H, W) with ``p``; differentiable in
-    the input, kernel, and bias.
+    """Cross-correlate ``x`` (N, Cin, H, W) with ``p``, same-padded, to
+    (N, Cout, H, W); differentiable in the input, kernel, and bias.
 
     Backward returns a gradient only for the operands that required one
     when the op was built, and ``None`` for the others.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4D, got {x.shape}")
-    n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = p.kernel.shape
+    if x.ndim != 4 or 0 in x.shape[2:]:
+        raise ShapeError(f"conv2d input must be 4D with nonzero extents, got {x.shape}")
+    cin = x.shape[1]
+    cout, cin_k, k, _ = p.kernel.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cin_k}")
-    st, dil, pad = p.stride, p.dilation, p.padding
-    hout = conv_out_extent(h, kh, st, dil, pad)
-    wout = conv_out_extent(w, kw, st, dil, pad)
-    if hout < 1 or wout < 1:
-        raise ShapeError(
-            f"conv2d: non-positive output extent ({hout}x{wout}) for input "
-            f"{h}x{w}, kernel {kh}x{kw}, stride {st}, dilation {dil}, padding {pad}")
 
-    kd = p.kernel.data
-    padded = (1, pad, pad, h + 2 * pad, w + 2 * pad)
-    out = _correlate(x.data, padded, kh, kw, st, dil, kernel=kd.reshape(cout, -1))[0]
+    dil, kd = p.dilation, p.kernel.data
+    out = _correlate(x.data, k, dil, kernel=kd.reshape(cout, -1))[0]
     out += p.bias.data.reshape(1, cout, 1, 1)
     need_x, need_k, need_b = (x.requires_grad, p.kernel.requires_grad,
                               p.bias.requires_grad)
@@ -201,25 +172,19 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     def bw(g):
         gx = gk = gb = None
         if need_x:
-            # columns of the output gradient spread onto the stride grid and
-            # padded by the effective kernel extent less the forward padding;
-            # their rows are indexed (cout, kh, kw) with the kernel flipped
-            eh, ew = dil * (kh - 1), dil * (kw - 1)
-            spread = (st, eh - pad, ew - pad, h + eh, w + ew)
-            # input gradient: stride-1 correlation with the flipped,
-            # transposed kernel; positions the forward never read come out
-            # exactly zero
+            # input gradient: the output gradient's columns, their rows
+            # indexed (cout, k, k), against the flipped, transposed kernel
             flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            gx, acc = _correlate(g, spread, kh, kw, 1, dil, kernel=flipped, other=xd)
+            gx, acc = _correlate(g, k, dil, kernel=flipped, other=xd)
             if need_k:
                 # the same columns against the input, flipped back
-                gk = np.ascontiguousarray(acc.reshape(cout, kh, kw, cin)
+                gk = np.ascontiguousarray(acc.reshape(cout, k, k, cin)
                                           [:, ::-1, ::-1].transpose(0, 3, 1, 2))
         elif need_k:
-            # no input gradient: the forward's columns of the padded input
-            # against the output gradient
-            acc = _correlate(xd, padded, kh, kw, st, dil, other=g)[1]
-            gk = np.ascontiguousarray(acc.T).reshape(cout, cin, kh, kw)
+            # no input gradient: the forward's columns of the input against
+            # the output gradient
+            acc = _correlate(xd, k, dil, other=g)[1]
+            gk = np.ascontiguousarray(acc.T).reshape(cout, cin, k, k)
         if need_b:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)

@@ -25,20 +25,16 @@ class LayerSpec:
     kind: str  # conv | relu | maxpool2 | channel_softmax | sigmoid | concat_branches
     out_ch: int = 0
     k: int = 0
-    stride: int = 1
     dilation: int = 1
-    padding: int = 0
     branch: tuple = field(default_factory=tuple)  # image-branch layers, concat only
 
 
-def conv(out_ch, k, stride=1, dilation=1, padding=0) -> LayerSpec:
-    """A conv to ``out_ch`` channels; it takes those of the layer before."""
-    return LayerSpec("conv", out_ch, k, stride, dilation, padding)
-
-
-def same_conv(out_ch, k, dilation=1) -> LayerSpec:
-    """Stride-1 conv padded so output extents equal input extents."""
-    return conv(out_ch, k, 1, dilation, dilation * (k - 1) // 2)
+def conv(out_ch, k, dilation=1) -> LayerSpec:
+    """A same-padded, stride-1 conv with an odd k x k kernel to ``out_ch``
+    channels; it takes those of the layer before."""
+    if k % 2 == 0:
+        raise ValueError(f"conv kernel extent must be odd, got {k}")
+    return LayerSpec("conv", out_ch, k, dilation)
 
 
 @dataclass(frozen=True)
@@ -67,18 +63,18 @@ def build_segmenter(num_classes: int, channels_base: int = 16,
                     n_context_layers: int = 4) -> NetSpec:
     """Small front end (two 3x3 convs + one pool, stride 2) followed by a
     context stack of 3x3 convs with doubling dilations, then a 1x1 head and
-    per-pixel softmax. All convs are 'same'-padded so the only resolution
-    change is the pool."""
+    per-pixel softmax. Every conv keeps its input's extents, so the only
+    resolution change is the pool."""
     if num_classes < 2:
         raise ValueError("need at least two classes")
     b = channels_base
     spec_layers = [
-        same_conv(b, 3), LayerSpec("relu"),
-        same_conv(b, 3), LayerSpec("relu"),
+        conv(b, 3), LayerSpec("relu"),
+        conv(b, 3), LayerSpec("relu"),
         LayerSpec("maxpool2"),
     ]
     for i in range(n_context_layers):
-        spec_layers += [same_conv(b, 3, dilation=2 ** i), LayerSpec("relu")]
+        spec_layers += [conv(b, 3, dilation=2 ** i), LayerSpec("relu")]
     spec_layers += [conv(num_classes, 1), LayerSpec("channel_softmax")]
     return NetSpec("segmenter", tuple(spec_layers), 3)
 
@@ -103,34 +99,34 @@ def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full"
         widths = [max(1, w // 2) for w in widths]
     w0, w1, w2, w3, w4, w5 = widths
 
-    spec_layers: list[LayerSpec] = [same_conv(w0, 3), LayerSpec("relu")]
+    spec_layers: list[LayerSpec] = [conv(w0, 3), LayerSpec("relu")]
     if two_branch:
-        branch = (same_conv(w0, 3), LayerSpec("relu"))
+        branch = (conv(w0, 3), LayerSpec("relu"))
         spec_layers.append(LayerSpec("concat_branches", branch=branch))
 
     if fov == "large":
         spec_layers += [
-            same_conv(w1, 3), LayerSpec("relu"),
-            same_conv(w2, 3), LayerSpec("relu"),
+            conv(w1, 3), LayerSpec("relu"),
+            conv(w2, 3), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w3, 3), LayerSpec("relu"),
-            same_conv(w4, 3), LayerSpec("relu"),
+            conv(w3, 3), LayerSpec("relu"),
+            conv(w4, 3), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w5, 3), LayerSpec("relu"),
+            conv(w5, 3), LayerSpec("relu"),
         ]
         head_k = 3
     else:
         spec_layers += [
             conv(w1, 1), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w3, 3), LayerSpec("relu"),
+            conv(w3, 3), LayerSpec("relu"),
             conv(w4, 1), LayerSpec("relu"),
             LayerSpec("maxpool2"),
-            same_conv(w5, 3), LayerSpec("relu"),
+            conv(w5, 3), LayerSpec("relu"),
         ]
         head_k = 1
 
-    spec_layers += [same_conv(1, head_k), LayerSpec("sigmoid")]
+    spec_layers += [conv(1, head_k), LayerSpec("sigmoid")]
     return NetSpec("adversary", tuple(spec_layers), in_channels,
                    image_channels=3 if two_branch else 0)
 
@@ -142,31 +138,25 @@ def build_adversary(in_channels: int, fov: str = "large", capacity: str = "full"
 # output index o -> input pixels [jump*o + lo, jump*o + hi] (before image
 # clipping). Activations and the branch merge are neutral.
 
-_GEOM_NEUTRAL = ("relu", "sigmoid", "channel_softmax", "concat_branches")
-
-
-def _layer_geometry(lay: LayerSpec) -> tuple[int, int, int]:
-    """(kernel, stride, dilation) for geometry purposes."""
-    if lay.kind == "conv":
-        return lay.k, lay.stride, lay.dilation
-    if lay.kind == "maxpool2":
-        return 2, 2, 1
-    raise ValueError(f"unsupported layer kind {lay.kind!r}")
-
 
 def rf_geometry(spec: NetSpec) -> tuple[int, int, int]:
     """(jump, lo, hi): output index o sees input pixels [jump*o+lo, jump*o+hi].
 
-    Both axes are identical because every shipped layer is square.
+    Both axes are identical because every layer is square. A conv widens
+    the window by dilation*(k-1)/2 of its input pixels on each side;
+    maxpool2 adds one of its input pixels on the high side and doubles the
+    jump.
     """
     jump, lo, hi = 1, 0, 0
     for lay in spec.layers:
-        if lay.kind in _GEOM_NEUTRAL:
-            continue
-        k, s, d = _layer_geometry(lay)
-        pad = lay.padding if lay.kind == "conv" else 0
-        lo, hi = lo - jump * pad, hi + jump * (d * (k - 1) - pad)
-        jump *= s
+        if lay.kind == "conv":
+            r = jump * (lay.dilation * (lay.k - 1) // 2)
+            lo, hi = lo - r, hi + r
+        elif lay.kind == "maxpool2":
+            hi += jump
+            jump *= 2
+        elif lay.kind not in ("relu", "sigmoid", "channel_softmax", "concat_branches"):
+            raise ValueError(f"unsupported layer kind {lay.kind!r}")
     return jump, lo, hi
 
 
@@ -218,8 +208,7 @@ def init_params(spec: NetSpec, seed: int) -> dict:
 
 def _apply(lay: LayerSpec, x: Tensor, params: dict, name: str) -> Tensor:
     if lay.kind == "conv":
-        p = L.ConvParams(params[f"{name}.kernel"], params[f"{name}.bias"],
-                         lay.stride, lay.dilation, lay.padding)
+        p = L.ConvParams(params[f"{name}.kernel"], params[f"{name}.bias"], lay.dilation)
         return L.conv2d(x, p)
     if lay.kind == "relu":
         return L.relu(x)

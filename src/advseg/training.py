@@ -129,7 +129,6 @@ def player_for_iteration(iteration: int, block_len: int) -> str:
 class Batch:
     images: np.ndarray        # (B, 3, H, W), each row a ``network_input``
     labels_ds: np.ndarray     # (B, h, w) at segmenter output resolution
-    target_onehot: np.ndarray  # (B, C, h, w), all-zero at VOID
     samples: list             # the drawn ``Sample`` objects, in batch order
 
 
@@ -189,11 +188,9 @@ def network_input(sample, window: int) -> np.ndarray:
 
 def make_batch(samples, indices, cfg: TrainConfig, stride: int) -> Batch:
     drawn = [samples[i] for i in indices]
-    labels_ds = downsample(np.stack([s.labels for s in drawn]), stride)
     return Batch(
         images=np.stack([network_input(s, cfg.lcn_window) for s in drawn]),
-        labels_ds=labels_ds,
-        target_onehot=one_hot(labels_ds, cfg.num_classes),
+        labels_ds=downsample(np.stack([s.labels for s in drawn]), stride),
         samples=drawn,
     )
 
@@ -241,8 +238,9 @@ def train_iteration(state: TrainState, batch: Batch, player: str | None = None) 
                                          cfg.encoding)
                 adv_on_pred = N.forward(state.adv_spec,
                                         N.detach_params(state.adv_params), pred)
-            loss = mul(segmenter_objective(probs, batch.target_onehot, adv_on_pred,
-                                           cfg.lam, cfg.modified_update), 1.0 / b)
+            target = one_hot(batch.labels_ds, cfg.num_classes)
+            loss = mul(segmenter_objective(probs, target, adv_on_pred, cfg.lam,
+                                           cfg.modified_update), 1.0 / b)
             loss_val = loss.item()
             if math.isfinite(loss_val):
                 backward(loss)

@@ -199,7 +199,7 @@ def test_corrupt_mul_fails_every_case_that_records_a_mul(monkeypatch):
     # the losses, encodings and segmenter cases import mul by name; the
     # adversary objective (bce on the adversary's sigmoid grid) records none
     recording = _cases_recording("mul", monkeypatch)
-    assert len(recording) == 43
+    assert len(recording) == 40
     assert sum(name.startswith("end_to_end_seg[") for name in recording) == 8
     assert not any(name.startswith("end_to_end_adv[") for name in recording)
     assert _failed(G.run_suite(corrupt_op="mul")) == recording
@@ -211,6 +211,16 @@ def test_corrupt_relu_fails_every_case_that_records_a_relu(monkeypatch):
     assert sum(name.startswith("end_to_end_seg[") for name in recording) == 8
     assert sum(name.startswith("end_to_end_adv[") for name in recording) == 10
     assert _failed(G.run_suite(corrupt_op="max_with_scalar")) == recording
+
+
+def test_corrupt_conv2d_fails_every_conv_case_and_every_end_to_end_case(monkeypatch):
+    recording = _cases_recording("conv2d", monkeypatch)
+    names = [name for name, _, _ in G.iter_cases()]
+    assert len(names) == 55
+    assert recording == [name for name in names
+                         if name.startswith(("conv2d", "end_to_end_"))]
+    assert len(recording) == 26
+    assert _failed(G.run_suite(corrupt_op="conv2d")) == recording
 
 
 def test_override_map_is_restored_when_the_block_exits():

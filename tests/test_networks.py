@@ -15,7 +15,6 @@ from advseg.networks import (
     load_params,
     param_shapes,
     receptive_field,
-    same_conv,
     save_params,
 )
 from advseg.tensor import ShapeError, Tensor, grad_check, mul, reduce_sum
@@ -100,8 +99,8 @@ def test_adversary_grid_16x_smaller_than_segmenter_output():
 
 
 def test_channel_walk_rejects_a_merge_without_image_channels():
-    merge = LayerSpec("concat_branches", branch=(same_conv(2, 3),))
-    spec = NetSpec("adversary", (same_conv(2, 3), merge, same_conv(1, 3)), 2)
+    merge = LayerSpec("concat_branches", branch=(conv(2, 3),))
+    spec = NetSpec("adversary", (conv(2, 3), merge, conv(1, 3)), 2)
     with pytest.raises(ShapeError, match="concat_branches in a single-input spec"):
         param_shapes(spec)
     with pytest.raises(ShapeError, match="concat_branches in a single-input spec"):
@@ -109,12 +108,19 @@ def test_channel_walk_rejects_a_merge_without_image_channels():
 
 
 def test_receptive_field_examples():
-    two_convs = NetSpec("segmenter", (same_conv(1, 3), same_conv(1, 3)), 1)
+    two_convs = NetSpec("segmenter", (conv(1, 3), conv(1, 3)), 1)
     assert receptive_field(two_convs)[:2] == (5, 5)
-    dilated = NetSpec("segmenter", (same_conv(1, 3, dilation=2),), 1)
+    dilated = NetSpec("segmenter", (conv(1, 3, dilation=2),), 1)
     assert receptive_field(dilated)[:2] == (5, 5)
     pointwise = NetSpec("segmenter", (conv(1, 1),), 1)
     assert receptive_field(pointwise) == (1, 1, 1)
+
+
+def test_conv_spec_rejects_an_even_kernel():
+    for k in (0, 2, 4):
+        with pytest.raises(ValueError, match="must be odd"):
+            conv(1, k)
+    assert conv(1, 5, dilation=3) == LayerSpec("conv", 1, 5, 3)
 
 
 def test_receptive_field_rejects_unknown_kind():
