@@ -45,9 +45,8 @@ EXIT_DIVERGED = 2
 EXIT_IO = 3
 
 # config key -> field name; the dataclasses own every default and type
-SCENE_KEYS = {("data_seed" if name == "seed" else name): name
-              for name in ("height", "width", "num_classes", "noise_sigma",
-                           "texture_amp", "void_border_px", "void_ribbon_px", "seed")}
+SCENE_KEYS = {("data_seed" if f.name == "seed" else f.name): f.name
+              for f in fields(D.SceneSpec)}
 ENCODING_KEYS = {"encoding": "kind", "tau": "tau", "include_image": "include_image"}
 TRAIN_KEYS = {("lambda" if f.name == "lam" else f.name): f.name
               for f in fields(TR.TrainConfig) if f.name != "encoding"}

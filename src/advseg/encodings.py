@@ -55,7 +55,6 @@ class EncodingKind:
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """(N, C, H, W) one-hot encoding of (N, H, W) labels; VOID pixels are
     all-zero."""
-    labels = np.asarray(labels)
     if np.any((labels >= num_classes) & (labels != VOID)):
         raise ValueError(f"label out of range for C={num_classes}")
     n, h, w = labels.shape
@@ -68,7 +67,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 def downsample(x: np.ndarray, stride: int) -> np.ndarray:
     """Nearest-neighbor over the last two axes (label maps and images alike):
     keep the top-left sample of each stride block."""
-    x = np.asarray(x)
     h, w = x.shape[-2:]
     if h % stride or w % stride:
         raise ShapeError(f"extents {h}x{w} not divisible by stride {stride}")
@@ -82,13 +80,12 @@ def encode_product(image: np.ndarray, prob: Tensor) -> Tensor:
     if prob.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) probabilities, got {prob.shape}")
     n, c, h, w = prob.shape
-    img = np.asarray(image, dtype=np.float64)
-    if img.shape != (n, 3, h, w):
-        raise ShapeError(f"expected an {(n, 3, h, w)} image, got {img.shape}")
+    if image.shape != (n, 3, h, w):
+        raise ShapeError(f"expected an {(n, 3, h, w)} image, got {image.shape}")
 
     class_rep = concat_channels(
         [slice_channels(prob, ci, ci + 1) for ci in range(c) for _ in range(3)])
-    image_tile = Tensor(np.tile(img, (1, c, 1, 1)))
+    image_tile = Tensor(np.tile(image, (1, c, 1, 1)))
     return mul(class_rep, image_tile)
 
 
@@ -103,21 +100,19 @@ def encode_scaling(pred: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarr
     s_l == 1 exactly the denominator vanishes; the limit is the one-hot
     vector.
     """
-    s = np.asarray(pred, dtype=np.float64)
-    labels = np.asarray(labels)
-    n, c, h, w = s.shape
+    n, c, h, w = pred.shape
     if labels.shape != (n, h, w):
-        raise ShapeError(f"labels {labels.shape} do not match predictions {s.shape}")
+        raise ShapeError(f"labels {labels.shape} do not match predictions {pred.shape}")
 
     valid = labels != VOID
     safe_labels = np.where(valid, labels, 0).astype(np.int64)
-    s_true = np.take_along_axis(s, safe_labels[:, None], axis=1)[:, 0]
+    s_true = np.take_along_axis(pred, safe_labels[:, None], axis=1)[:, 0]
     y_true = np.maximum(tau, s_true)
     denom = 1.0 - s_true
     degenerate = denom <= 0.0
     factor = np.where(degenerate, 0.0, (1.0 - y_true) / np.where(degenerate, 1.0, denom))
 
-    out = s * factor[:, None]
+    out = pred * factor[:, None]
     np.put_along_axis(out, safe_labels[:, None],
                       np.where(degenerate, 1.0, y_true)[:, None], axis=1)
     out *= valid[:, None]
@@ -137,7 +132,6 @@ def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
     if seg_out.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) segmenter output, got {seg_out.shape}")
     n, c, h, w = seg_out.shape
-    labels = np.asarray(labels)
     if enc.kind == "scaling" and enc.tau <= 1.0 / c:
         raise ValueError(f"tau must exceed 1/C = {1.0 / c:.4f}")
 
@@ -151,8 +145,7 @@ def build_adv_pair(image, labels, seg_out: Tensor, enc: EncodingKind):
     gt, pred = Tensor(gt_map), mul(seg_out, Tensor(keep))
 
     if enc.kind == "product" or enc.include_image:
-        img = np.asarray(image, dtype=np.float64)
-        img = downsample(img, img.shape[2] // h)
+        img = downsample(image, image.shape[2] // h)
 
     if enc.kind == "product":
         gt, pred = encode_product(img, gt), encode_product(img, pred)

@@ -41,7 +41,7 @@ import numpy as np
 from . import layers as L
 from . import networks as N
 from . import tensor as T
-from .encodings import EncodingKind, build_adv_pair
+from .encodings import EncodingKind, build_adv_pair, one_hot
 from .losses import adversary_objective, bce_loss, mce_loss, segmenter_objective
 
 TOLERANCE = 1e-4
@@ -245,9 +245,7 @@ def _layer_of(name: str) -> int:
 
 def _composition_cases():
     seg, adv, seg_params, adv_params, x, labels = find_composition_instance()
-    target = np.zeros((1, 2, 4, 4))
-    target[0, 0] = labels == 0
-    target[0, 1] = labels == 1
+    target = one_hot(labels, 2)
     basic = EncodingKind("basic")
 
     seg_in, probs = _traced(seg, seg_params, x)

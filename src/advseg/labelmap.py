@@ -11,4 +11,4 @@ VOID = 255
 
 
 def is_fully_labeled(labels: np.ndarray) -> bool:
-    return not np.any(np.asarray(labels) == VOID)
+    return not np.any(labels == VOID)

@@ -256,35 +256,30 @@ def channel_softmax(x: Tensor) -> Tensor:
 
 def _box_sums(a: np.ndarray, window: int) -> np.ndarray:
     """Per-pixel sum over a centered window x window box of every plane of
-    ``a`` (N, C, H, W), edge-replicated."""
+    ``a`` (C, H, W), edge-replicated."""
     r = window // 2
-    ap = np.pad(a, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
-    n, c, hp, wp = ap.shape
-    ii = np.zeros((n, c, hp + 1, wp + 1))
-    ii[:, :, 1:, 1:] = ap.cumsum(axis=2).cumsum(axis=3)
-    return (ii[:, :, window:, window:] - ii[:, :, :-window, window:]
-            - ii[:, :, window:, :-window] + ii[:, :, :-window, :-window])
+    ap = np.pad(a, ((0, 0), (r, r), (r, r)), mode="edge")
+    c, hp, wp = ap.shape
+    ii = np.zeros((c, hp + 1, wp + 1))
+    ii[:, 1:, 1:] = ap.cumsum(axis=1).cumsum(axis=2)
+    return (ii[:, window:, window:] - ii[:, :-window, window:]
+            - ii[:, window:, :-window] + ii[:, :-window, :-window])
 
 
-def local_contrast_normalize(image: np.ndarray, window: int = 9) -> np.ndarray:
-    """Per channel, subtract the local box mean and divide by
-    max(local box std, 0.01). Data preprocessing on plain arrays, outside
-    the gradient graph."""
-    arr = np.asarray(image, dtype=np.float64)
+def local_contrast_normalize(image: np.ndarray, window: int) -> np.ndarray:
+    """Per channel of a (C, H, W) float image, subtract the local box mean
+    and divide by max(local box std, 0.01). Data preprocessing on plain
+    arrays, outside the gradient graph."""
     if window % 2 == 0:
         raise ValueError("local_contrast_normalize window must be odd")
-    squeeze = arr.ndim == 3
-    if squeeze:
-        arr = arr[None]
-    if arr.ndim != 4:
-        raise ShapeError(f"expected (N, C, H, W) or (C, H, W), got {arr.shape}")
-    h, w = arr.shape[2:]
+    if image.ndim != 3:
+        raise ShapeError(f"expected (C, H, W), got {image.shape}")
+    h, w = image.shape[1:]
     if window > min(h, w):
         raise ValueError(f"window {window} exceeds image extent {h}x{w}")
 
     count = float(window * window)
-    mean = _box_sums(arr, window) / count
-    var = _box_sums(arr * arr, window) / count - mean * mean
+    mean = _box_sums(image, window) / count
+    var = _box_sums(image * image, window) / count - mean * mean
     std = np.sqrt(np.maximum(var, 0.0))
-    out = (arr - mean) / np.maximum(std, 0.01)
-    return out[0] if squeeze else out
+    return (image - mean) / np.maximum(std, 0.01)

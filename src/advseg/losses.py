@@ -10,8 +10,6 @@ before any log so every objective stays finite.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .tensor import ShapeError, Tensor, clamp, log, mul, neg, reduce_mean, reduce_sum
 
 PROB_EPS = 1e-7
@@ -23,11 +21,10 @@ def mce_loss(pred: Tensor, target_onehot) -> Tensor:
     so VOID pixels add nothing to the loss or its gradient."""
     if pred.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W), got {pred.shape}")
-    y = np.asarray(target_onehot, dtype=np.float64)
-    if y.shape != pred.shape:
-        raise ShapeError(f"target shape {y.shape} != pred shape {pred.shape}")
+    if target_onehot.shape != pred.shape:
+        raise ShapeError(f"target shape {target_onehot.shape} != pred shape {pred.shape}")
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    return neg(reduce_sum(mul(log(p), Tensor(y))))
+    return neg(reduce_sum(mul(log(p), Tensor(target_onehot))))
 
 
 def bce_loss(pred: Tensor, target: int) -> Tensor:

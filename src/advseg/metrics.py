@@ -61,8 +61,6 @@ def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """counts[g][p] over non-void ground-truth pixels; ``pred`` must not
     contain VOID, and a ground-truth label of ``num_classes`` or more
     raises ValueError."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     if np.any(pred == VOID) or np.any(pred >= num_classes):
@@ -105,7 +103,6 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
     """Boolean mask of the boundary pixels of every class at once: pixels
     on the image border or with a 4-neighbor whose label differs and is not
     VOID. Class c's boundary is ``boundary_mask(labels) & (labels == c)``."""
-    labels = np.asarray(labels)
     mask = np.zeros(labels.shape, dtype=bool)
     above, below = labels[:-1, :], labels[1:, :]
     differs = above != below
@@ -122,7 +119,6 @@ def boundary_mask(labels: np.ndarray) -> np.ndarray:
 
 def _class_boundaries(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """(num_classes, H, W) boundary masks, one plane per class."""
-    labels = np.asarray(labels)
     classes = np.arange(num_classes)[:, None, None]
     return boundary_mask(labels)[None] & (labels[None] == classes)
 
@@ -170,8 +166,6 @@ def bf_score(pred: np.ndarray, gt: np.ndarray, num_classes: int,
     """Per-class (precision, recall, F1); classes with both boundary sets
     empty are skipped (absent from the dict). ``pred`` and ``gt`` must have
     the same shape."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {gt.shape}")
     pb = _class_boundaries(pred, num_classes)

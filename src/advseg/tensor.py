@@ -231,16 +231,12 @@ def _normalize_axes(axes, ndim: int) -> tuple:
         return tuple(range(ndim))
     if isinstance(axes, int):
         axes = (axes,)
-    norm = []
     for ax in axes:
-        if ax < 0:
-            ax += ndim
         if not 0 <= ax < ndim:
             raise ShapeError(f"axis {ax} out of range for ndim {ndim}")
-        norm.append(ax)
-    if len(set(norm)) != len(norm):
+    if len(set(axes)) != len(axes):
         raise ShapeError("duplicate reduction axes")
-    return tuple(sorted(norm))
+    return tuple(sorted(axes))
 
 
 def reduce_sum(a: Tensor, axes=None) -> Tensor:

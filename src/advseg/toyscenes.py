@@ -30,6 +30,11 @@ _COLOR_LADDER = (0.03125, 0.34375, 0.65625, 0.96875)
 _TEXTURE_FREQS = ((3.0, 5.0), (8.0, 3.0), (5.0, 9.0), (11.0, 7.0),
                   (4.0, 11.0), (9.0, 6.0), (6.0, 13.0), (13.0, 4.0))
 
+# shapes per scene, and the side or diameter of a shape in pixels, as
+# inclusive (min, max) ranges; extents shrink to fit scenes under 24 px
+N_SHAPES = (2, 5)
+SHAPE_EXTENT = (8, 22)
+
 
 def default_colors(num_classes: int) -> tuple:
     if num_classes > 4:
@@ -46,13 +51,8 @@ class SceneSpec:
     height: int = 64
     width: int = 64
     num_classes: int = 4
-    n_shapes_min: int = 2
-    n_shapes_max: int = 5
-    shape_extent_min: int = 8
-    shape_extent_max: int = 22
     noise_sigma: float = 0.03
     texture_amp: float = 0.12
-    base_colors: tuple = ()
     void_border_px: int = 1
     void_ribbon_px: int = 1
     seed: int = 0
@@ -73,10 +73,8 @@ class SceneSpec:
         if 2 * self.void_border_px >= min(self.height, self.width):
             raise ValueError(f"void_border_px={self.void_border_px} leaves no "
                              f"labelled pixel in {self.height}x{self.width} scenes")
-        self.colors()  # a class count the palette cannot separate raises here
-
-    def colors(self) -> tuple:
-        return self.base_colors if self.base_colors else default_colors(self.num_classes)
+        # a class count the palette cannot separate raises here
+        default_colors(self.num_classes)
 
 
 @dataclass(eq=False)
@@ -131,9 +129,9 @@ def generate_scene(spec: SceneSpec, index: int) -> Sample:
     h, w = spec.height, spec.width
     labels = np.zeros((h, w), dtype=np.int64)
 
-    n_shapes = int(rng.integers(spec.n_shapes_min, spec.n_shapes_max + 1))
-    emax = min(spec.shape_extent_max, h - 2, w - 2)
-    emin = min(spec.shape_extent_min, emax)
+    n_shapes = int(rng.integers(N_SHAPES[0], N_SHAPES[1] + 1))
+    emax = min(SHAPE_EXTENT[1], h - 2, w - 2)
+    emin = min(SHAPE_EXTENT[0], emax)
     ii, jj = np.mgrid[0:h, 0:w]
     for _ in range(n_shapes):
         cls = int(rng.integers(1, spec.num_classes))
@@ -151,7 +149,7 @@ def generate_scene(spec: SceneSpec, index: int) -> Sample:
             cj = int(rng.integers(r, w - r))
             labels[(ii - ci) ** 2 + (jj - cj) ** 2 <= r * r] = cls
 
-    colors = np.asarray(spec.colors())
+    colors = np.asarray(default_colors(spec.num_classes))
     image = colors[labels].transpose(2, 0, 1).copy()
     if spec.texture_amp > 0:
         phases = rng.uniform(0, 2 * math.pi, size=spec.num_classes)

@@ -14,8 +14,7 @@ object: an adversary turn forwards only the samples the store lacks, each
 once, and a segmenter turn empties the store. In the slow scheme a block of
 adversary turns then forwards each training scene at most once; in the fast
 scheme each adversary turn of the main loop follows a segmenter turn and
-finds the store empty. This is exact: a row of
-a batched segmenter forward, and of local contrast normalization before it,
+finds the store empty. This is exact: a row of a batched segmenter forward
 does not depend on the other images of the batch, so every stored map
 equals the row a full forward of any batch would give, bit for bit. The
 store holds at most one (C, H/2, W/2) map per training scene, C/12 of the
@@ -25,8 +24,8 @@ scenes' image memory.
 scene in training batches, evaluation, adversary accuracy and exported
 maps: its image at ``lcn_window=0``, else its contrast-normalized image,
 computed on the first request and stored under the sample object and the
-window. This is exact for the same reason: a sample's normalized image
-does not depend on the rest of its batch. The store's weak keys let an
+window. Normalization takes one image, so what is stored is what a
+batch of that sample would hold. The store's weak keys let an
 entry live exactly as long as its sample. It holds one image per scene
 drawn or evaluated and window, 98 KB at 64x64, 7.9 MB for the README's 64
 train and 16 val scenes, and nothing at ``lcn_window=0``. Its arrays reach
@@ -266,22 +265,16 @@ def adversary_accuracy(state: TrainState, samples, maps) -> tuple[float, float]:
     """Fraction of adversary grid outputs on the correct side of 0.5 for
     ground-truth and predicted inputs, over ``samples``. ``maps`` holds
     each sample's (1, C, h, w) segmenter output from ``metrics.segment``;
-    the adversary judges them one image at a time on detached parameters,
-    so no graph is built."""
-    cfg = state.cfg
+    the adversary judges them as one batch per side on detached
+    parameters, so no graph is built."""
     stride = N.receptive_field(state.seg_spec)[2]
+    batch = make_batch(samples, range(len(samples)), state.cfg, stride)
+    gt, pred = build_adv_pair(batch.images, batch.labels_ds,
+                              Tensor(np.concatenate(maps)), state.cfg.encoding)
     adv_params = N.detach_params(state.adv_params)
-    right_gt = right_pred = cells = 0
-    for sample, probs in zip(samples, maps):
-        gt, pred = build_adv_pair(network_input(sample, cfg.lcn_window)[None],
-                                  downsample(sample.labels[None], stride),
-                                  Tensor(probs), cfg.encoding)
-        out_gt = N.forward(state.adv_spec, adv_params, gt).data
-        out_pred = N.forward(state.adv_spec, adv_params, pred).data
-        right_gt += np.count_nonzero(out_gt > 0.5)
-        right_pred += np.count_nonzero(out_pred < 0.5)
-        cells += out_gt.size
-    return right_gt / cells, right_pred / cells
+    out_gt = N.forward(state.adv_spec, adv_params, gt).data
+    out_pred = N.forward(state.adv_spec, adv_params, pred).data
+    return np.mean(out_gt > 0.5), np.mean(out_pred < 0.5)
 
 
 @dataclass
@@ -328,9 +321,10 @@ def _record_eval(record: RunRecord, state: TrainState, dataset, bf_cfg) -> None:
 
 
 def dataset_bf_config(dataset) -> BFConfig:
-    diags = [image_diagonal(s.labels.shape)
-             for split in ("train", "val", "test") for s in dataset.split(split)]
-    return BFConfig(smallest_diagonal=min(diags))
+    """The tolerance rule for ``dataset``: ``make_dataset`` draws every
+    scene from one spec and ``load_dataset`` rejects a scene of another
+    size, so the spec's diagonal is every scene's."""
+    return BFConfig(image_diagonal((dataset.spec.height, dataset.spec.width)))
 
 
 def train_run(cfg: TrainConfig, dataset) -> RunRecord:

@@ -101,8 +101,8 @@ def maxpool2_gather(x, g):
 
 
 def lcn_per_plane(arr, window):
-    """Local contrast normalization of arr (N, C, H, W), one plane at a time
-    through a 2-D edge-padded integral image."""
+    """Local contrast normalization of an image arr (C, H, W), one plane at
+    a time through a 2-D edge-padded integral image."""
     r = window // 2
     count = float(window * window)
 
@@ -114,13 +114,11 @@ def lcn_per_plane(arr, window):
                 - ii[window:, :-window] + ii[:-window, :-window])
 
     out = np.empty_like(arr)
-    for ni in range(arr.shape[0]):
-        for ci in range(arr.shape[1]):
-            plane = arr[ni, ci]
-            mean = box_sums(plane) / count
-            var = box_sums(plane * plane) / count - mean * mean
-            std = np.sqrt(np.maximum(var, 0.0))
-            out[ni, ci] = (plane - mean) / np.maximum(std, 0.01)
+    for ci, plane in enumerate(arr):
+        mean = box_sums(plane) / count
+        var = box_sums(plane * plane) / count - mean * mean
+        std = np.sqrt(np.maximum(var, 0.0))
+        out[ci] = (plane - mean) / np.maximum(std, 0.01)
     return out
 
 

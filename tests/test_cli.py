@@ -165,10 +165,10 @@ def _export_maps_equal_graph_forward(tmp_path, monkeypatch, data_dir, ckpt, wind
     spec = cli.N.build_segmenter(3, channels_base=4, n_context_layers=1)
     params = cli.N.load_params(ckpt / "segmenter.ckpt", spec)
     for sample in cli.D.load_dataset(data_dir).val[:2]:
-        image = sample.image[None]
+        image = sample.image
         if window:
             image = local_contrast_normalize(image, window)
-        probs = cli.N.forward(spec, params, Tensor(image))
+        probs = cli.N.forward(spec, params, Tensor(image[None]))
         assert probs.node is not None
         for c in range(3):
             want = np.rint(255.0 * probs.data[0, c]).astype(np.int64)
@@ -397,10 +397,7 @@ def test_every_config_field_has_exactly_one_key():
 
     assert sorted(cli.TRAIN_KEYS.values()) == names(TrainConfig, "encoding")
     assert sorted(cli.ENCODING_KEYS.values()) == names(EncodingKind)
-    # the shape counts, shape extents and colours stay off the CLI
-    assert sorted(cli.SCENE_KEYS.values()) == names(
-        SceneSpec, "n_shapes_min", "n_shapes_max", "shape_extent_min",
-        "shape_extent_max", "base_colors")
+    assert sorted(cli.SCENE_KEYS.values()) == names(SceneSpec)
     # num_classes sets both the scenes and the networks
     assert set(cli.SCENE_KEYS) & set(cli.TRAIN_KEYS) == {"num_classes"}
     assert not set(cli.ENCODING_KEYS) & (set(cli.SCENE_KEYS) | set(cli.TRAIN_KEYS))

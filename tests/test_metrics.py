@@ -375,10 +375,10 @@ def test_evaluate_split_builds_no_graph_and_matches_graph_forward(monkeypatch):
         params["L0.bias"].requires_grad = True
         preds = []
         for s in samples:
-            image = s.image[None]
+            image = s.image
             if window:
                 image = local_contrast_normalize(image, window)
-            probs = forward(seg, params, Tensor(image))
+            probs = forward(seg, params, Tensor(image[None]))
             assert probs.node is not None  # the reference really builds a graph
             preds.append(predict_labels(probs.data[0], upsample=stride))
         want = evaluate_predictions(preds, [s.labels for s in samples], 3, cfg)

@@ -34,6 +34,8 @@ from advseg.training import (
     train_run,
 )
 
+from oracles import lcn_per_plane
+
 
 def tiny_cfg(**kw):
     base = dict(slr=0.01, alr=0.05, lam=1.0, scheme="fast", batch_size=2,
@@ -45,8 +47,7 @@ def tiny_cfg(**kw):
 
 
 def tiny_dataset(n_train=4, n_val=2, seed=0, **kw):
-    spec = SceneSpec(height=16, width=16, num_classes=3, seed=seed,
-                     shape_extent_min=4, shape_extent_max=8, **kw)
+    spec = SceneSpec(height=16, width=16, num_classes=3, seed=seed, **kw)
     return make_dataset(spec, n_train, n_val)
 
 
@@ -265,10 +266,11 @@ def test_evaluation_builds_no_graph(monkeypatch):
     record = train_run(tiny_cfg(max_iters=0), tiny_dataset(n_train=4, n_val=3))
     assert [row["iter"] for row in record.rows] == [0, 0]
     # one segmenter forward per train and val image; the adversary judges
-    # the val pass's outputs, ground truth and prediction for each image
+    # the val pass's outputs as one batch of ground truth and one of
+    # predictions
     names = [name for name, _ in calls]
     assert names.count("segmenter") == 4 + 3
-    assert names.count("adversary") == 2 * 3
+    assert names.count("adversary") == 2
     assert all(o.node is None and not o.requires_grad for _, o in calls)
 
 
@@ -758,19 +760,18 @@ def test_adversary_turn_stores_one_map_per_distinct_sample(monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_segmenter_batch_rows_equal_each_image_alone(
         batch, extent, num_classes, channels_base, n_context_layers, lcn, seed):
-    """What the store rests on: a row of a batched segmenter forward, and of
-    local contrast normalization before it, does not depend on the other
-    images of the batch, bit for bit."""
+    """What the store rests on: a row of a batched segmenter forward does not
+    depend on the other images of the batch, bit for bit, and local
+    contrast normalization before it normalizes each image plane by plane."""
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(batch, 3, extent, extent))
     spec = N.build_segmenter(num_classes, channels_base, n_context_layers)
     params = N.detach_params(N.init_params(spec, seed % 1000))
     if lcn:
-        normalized = local_contrast_normalize(images, lcn)
-        for i in range(batch):
-            alone = local_contrast_normalize(images[i:i + 1], lcn)
-            assert alone.tobytes() == normalized[i:i + 1].tobytes()
-        images = normalized
+        normalized = [local_contrast_normalize(image, lcn) for image in images]
+        for image, alone in zip(images, normalized):
+            assert alone.tobytes() == lcn_per_plane(image, lcn).tobytes()
+        images = np.stack(normalized)
     whole = forward(spec, params, Tensor(images)).data
     for i in range(batch):
         alone = forward(spec, params, Tensor(images[i:i + 1])).data
@@ -794,17 +795,16 @@ def _count_lcn(monkeypatch) -> list:
 
 def test_batches_are_contrast_normalized_as_a_stack(monkeypatch):
     """Each sample is normalized once per window and stored; every batch
-    equals local contrast normalization of its stacked raw images."""
+    is the stack of its raw images, each contrast-normalized."""
     ds = tiny_dataset()
     calls = _count_lcn(monkeypatch)
     draws = [[0, 1], [1, 0], [2, 2], [3, 1, 3, 0], [0, 1]]  # repeats, duplicates
     for window in (3, 5):  # two configs over the same samples
         cfg = tiny_cfg(lcn_window=window)
         for indices in draws:
-            raw = np.stack([ds.train[i].image for i in indices])
+            want = np.stack([lcn_per_plane(ds.train[i].image, window) for i in indices])
             batch = make_batch(ds.train, indices, cfg, 2)
-            assert (batch.images.tobytes()
-                    == local_contrast_normalize(raw, window).tobytes())
+            assert batch.images.tobytes() == want.tobytes()
     assert calls == [3] * 4 + [5] * 4
 
 
