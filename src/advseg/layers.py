@@ -5,28 +5,35 @@ Every convolution is a cross-correlation (no kernel flip) at stride 1 with
 an odd k x k kernel, zero-padded by dilation*(k-1)/2 on every side, so its
 output has the input's extents. All tensors are NCHW.
 
-Every convolution product goes through one routine, :func:`_correlate`.
-It writes the zero-padded grid of its operand and then, one band of output
+Every convolution product goes through one routine, :func:`_correlate`. It
+writes the zero-padded grid of its operand and then, one band of output
 rows at a time for the whole batch, that band's im2col columns into a
 per-thread scratch buffer that is reused from call to call. Each band's
 ``np.matmul`` writes straight into its rows of the result, so the columns
 stay in cache and are never held for the whole output at once (Goto & van
 de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
-2008). A 1x1 kernel over a C-contiguous operand needs no grid: its columns
-are the operand itself, so each band's are a view of the operand's rows,
-and nothing is filled or copied. The bands and their sums stay as they
-are, so this gives the grid's bits. The forward pass correlates the input
-with the kernel. When the input needs a gradient, backward builds one set
-of columns, from the output gradient padded the same way (Dumoulin &
-Visin, "A guide to convolution arithmetic", arXiv 1603.07285). Against the
-flipped, transposed kernel they give the input gradient; against the
-input, summed over bands and flipped back, the kernel gradient. When only
-the kernel gradient is needed (a network's first layer), backward rebuilds
-the forward's columns of the input, which are the smaller set when the
-layer has fewer input than output channels, and sums their products with
-the output gradient. The graph keeps no columns, and the input only when
-the kernel gradient is needed. Backward computes only the gradients whose
-operands required one when the op was built.
+2008). The band's width is set by the batch (:func:`band_rows`): 128 output
+positions per image for 4 images or more, and, for fewer, wider bands
+toward 512 positions in all, as far as one image's product stays on
+OpenBLAS's small-matrix path. So the one-image evaluation pass, and the
+frozen segmenter's forward of the few scenes an adversary turn has not
+stored, run GEMMs about as wide as a batch of four's; each image's output
+has the bits of its row in a batched pass (tests hold the two equal at
+64x64). A 1x1 kernel over a C-contiguous operand needs no grid:
+its columns are the operand itself, so each band's are a view of the
+operand's rows, and nothing is filled or copied. The bands and their sums
+stay as they are, so this gives the grid's bits. The forward pass
+correlates the input with the kernel. When the input needs a gradient,
+backward builds one set of columns, from the output gradient padded the
+same way (Dumoulin & Visin, "A guide to convolution arithmetic", arXiv
+1603.07285). Against the flipped, transposed kernel they give the input
+gradient; against the input, summed over bands and flipped back, the kernel
+gradient. When only the kernel gradient is needed (a network's first
+layer), backward rebuilds the forward's columns of the input, which are the
+smaller set when the layer has fewer input than output channels, and sums
+their products with the output gradient. The graph keeps no columns, and
+the input only when the kernel gradient is needed. Backward computes only
+the gradients whose operands required one when the op was built.
 
 Max pooling reads the four strided views ``x[:, :, i::2, j::2]`` of its
 input, one per window position, and copies nothing: the forward pass is an
@@ -50,11 +57,22 @@ from .tensor import ShapeError, Tensor, _make, max_with_scalar
 # segmenter forward pass at 64x64 took about 10 % longer.
 _workspace = threading.local()
 
-# output positions per image in one band of im2col columns; a band is made
-# of whole output rows, at least one. On a 2-vCPU VM (OpenBLAS, 1 thread),
-# segmenter turns at the README config ran about 5 % faster at 128 than at
-# 256, and slower at 512 and above.
+# output positions in one band of im2col columns: BAND per image, and for
+# fewer than WIDE // BAND images, more per image, toward WIDE in all; a
+# band is made of whole output rows, at least one. On a 2-vCPU VM
+# (OpenBLAS, 1 thread), segmenter turns at the README config (4 images) ran
+# about 5 % faster at 128 positions per image than at 256, and slower at
+# 512 and above. Widening stops where one image's product would take more
+# than SMALL_GEMM multiply-adds, the products OpenBLAS runs on its
+# small-matrix path. A single-image segmenter forward pass at 64x64
+# (minimum of 200, 1 BLAS thread) took 1.81 ms at 128 positions, 1.69 ms
+# with these bands, and 2.21 ms at 512 positions, whose 16 x 144 products
+# cross SMALL_GEMM. README-config segmenter turns of 1, 2 and 3 images took
+# 12.6 -> 11.8, 22.7 -> 22.3 and 23.3 -> 24.0 ms against BAND alone
+# (medians of 15 alternating pairs).
 BAND = 128
+WIDE = 512
+SMALL_GEMM = 10 ** 6
 
 
 @dataclass
@@ -82,9 +100,14 @@ class ConvParams:
                              f"got {kh}x{kw}")
 
 
-def band_rows(wout: int) -> int:
-    """Output rows in one band of columns, for outputs ``wout`` wide."""
-    return max(1, BAND // wout)
+def band_rows(n: int, wout: int, macs: int) -> int:
+    """Output rows in one band of columns, for ``n`` images of outputs
+    ``wout`` wide whose product takes ``macs`` multiply-adds per output
+    position and image: ``BAND`` positions per image, widened toward
+    ``WIDE`` in all when that is more, as far as one image's product stays
+    within ``SMALL_GEMM``."""
+    positions = max(BAND, min(WIDE // n, SMALL_GEMM // macs))
+    return max(1, positions // wout)
 
 
 def _correlate(a: np.ndarray, k: int, dilation: int, kernel: np.ndarray | None = None,
@@ -103,8 +126,11 @@ def _correlate(a: np.ndarray, k: int, dilation: int, kernel: np.ndarray | None =
     view of ``a`` and writes no grid.
     """
     n, c, h, w = a.shape
-    rows = band_rows(w)
     depth = c * k * k
+    # multiply-adds per output position and image: the depth times the
+    # product's rows, the kernel's or else the other operand's channels (in
+    # every conv2d pass, the conv kernel's size)
+    rows = band_rows(n, w, depth * (other.shape[1] if kernel is None else kernel.shape[0]))
     as_is = k == 1 and a.flags.c_contiguous
     if not as_is:
         pad = dilation * (k - 1) // 2

@@ -128,33 +128,42 @@ def _within_tolerance(masks: np.ndarray, tol: float) -> np.ndarray:
     distance ``tol`` of some True pixel of the same plane.
 
     The disk dy*dy + dx*dx <= tol*tol is a union of row runs: row offset dy
-    spans |dx| <= h(dy), the largest such integer. h only shrinks as |dy|
-    grows, so one downward scan finds every h. A run of half-width h is one
-    difference of row prefix sums, OR-ed into place with shifted slices."""
+    spans |dx| <= h(dy), the largest such integer, capped at W - 1 (a wider
+    run covers no more of a row). h only shrinks as |dy| grows, so one
+    downward scan finds every h. The runs then grow the other way, from
+    half-width 0 up to h(0), each the last one OR-ed with the masks shifted
+    one pixel further left and right, and each is OR-ed into place at the
+    row offsets that take it. Every row is followed by h(0) zero columns,
+    so each shift is one slice of the flat array, and no pixel shifts into
+    another row or plane."""
     h, w = masks.shape[-2:]
     tol_sq = tol * tol
-    # row prefix sums P[0..w] at offset ``pad``, clamped to P[0] on the left
-    # and P[w] on the right, so every run is a difference of two slices
-    pad = w - 1
-    prefix = np.zeros(masks.shape[:-1] + (w + 2 * pad + 1,), dtype=np.int32)
-    np.cumsum(masks, axis=-1, out=prefix[..., pad + 1: pad + 1 + w])
-    prefix[..., pad + 1 + w:] = prefix[..., pad + w: pad + w + 1]
-    near = np.zeros_like(masks)
-    half, built = pad, None
+    halves, half = [], w - 1
     for dy in range(h):
         # exact: Python compares the integer sum with the float tol_sq exactly
         while half >= 0 and not half * half + dy * dy <= tol_sq:
             half -= 1
         if half < 0:
             break
-        if half != built:
-            built = half
-            runs = (prefix[..., pad + half + 1: pad + half + 1 + w]
-                    > prefix[..., pad - half: pad - half + w])
-        near[..., : h - dy, :] |= runs[..., dy:, :]
+        halves.append(half)
+    wide = w + (halves[0] if halves else 0)
+    padded = np.zeros(masks.shape[:-1] + (wide,), dtype=bool)
+    padded[..., :w] = masks
+    runs, near = padded.copy(), np.zeros_like(padded)
+    flat, runs_flat = padded.reshape(-1), runs.reshape(-1)
+    plane = h * wide
+    runs_planes, near_planes = runs.reshape(-1, plane), near.reshape(-1, plane)
+    built = 0
+    for dy in reversed(range(len(halves))):
+        while built < halves[dy]:
+            built += 1
+            runs_flat[built:] |= flat[:-built]
+            runs_flat[:-built] |= flat[built:]
+        shift = dy * wide
+        near_planes[:, : plane - shift] |= runs_planes[:, shift:]
         if dy:
-            near[..., dy:, :] |= runs[..., : h - dy, :]
-    return near
+            near_planes[:, shift:] |= runs_planes[:, : plane - shift]
+    return near[..., :w]
 
 
 def _fraction(hits, n) -> float:
@@ -243,8 +252,8 @@ def segment(seg_spec, seg_params, samples, preprocess=None):
     parameters, so no graph is built and ``seg_params`` stay as they are.
     Its input is ``preprocess(sample)``, a (3, H, W) array, or
     ``sample.image`` without a hook. One image at a time: over 16 images at
-    64x64 that took 49-52 ms and 43 MB ``ru_maxrss``, one batch of 16 took
-    56 ms and 70 MB."""
+    64x64 that took 37-39 ms and 41 MB ``ru_maxrss``, one batch of 16 took
+    45-47 ms and 69 MB (2 vCPUs, OpenBLAS on 1 thread)."""
     from .networks import detach_params, forward
     from .tensor import Tensor
 

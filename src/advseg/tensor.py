@@ -205,9 +205,11 @@ def log(a: Tensor) -> Tensor:
 def max_with_scalar(a: Tensor, s: float) -> Tensor:
     """Elementwise max(a, s). Ties (a == s) pass zero gradient."""
     s = float(s)
+    out = np.maximum(a.data, s)
+    if not a.requires_grad:  # no graph, so no rule reads a mask
+        return Tensor(out)
     mask = a.data > s
-    return _make(np.maximum(a.data, s), "max_with_scalar", [a],
-                 lambda g: (g * mask,))
+    return _make(out, "max_with_scalar", [a], lambda g: (g * mask,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -215,11 +217,13 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     lo, hi = float(lo), float(hi)
     if lo > hi:
         raise ValueError("clamp: lo > hi")
-    mask = (a.data >= lo) & (a.data <= hi)
     # np.clip's values, ties and NaNs included: np.maximum and np.minimum
     # return their second operand when the two compare equal
-    return _make(np.minimum(hi, np.maximum(lo, a.data)), "clamp", [a],
-                 lambda g: (g * mask,))
+    out = np.minimum(hi, np.maximum(lo, a.data))
+    if not a.requires_grad:  # no graph, so no rule reads a mask
+        return Tensor(out)
+    mask = (a.data >= lo) & (a.data <= hi)
+    return _make(out, "clamp", [a], lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,24 @@ def bf_match_fraction_naive(points, targets, tol):
     return hits / len(points)
 
 
+def dilate_disk_naive(masks, tol):
+    """For (..., H, W) boolean masks, each pixel that has a True pixel of
+    its plane within Euclidean distance ``tol``, by exhaustive search over
+    pixel pairs with the exact integer-versus-tol*tol test."""
+    masks = np.asarray(masks, dtype=bool)
+    h, w = masks.shape[-2:]
+    planes = masks.reshape(-1, h, w)
+    near = np.zeros(planes.shape, dtype=bool)
+    tol_sq = tol * tol
+    for p, plane in enumerate(planes):
+        points = [(i, j) for i in range(h) for j in range(w) if plane[i, j]]
+        for i in range(h):
+            for j in range(w):
+                near[p, i, j] = any((i - pi) ** 2 + (j - pj) ** 2 <= tol_sq
+                                    for pi, pj in points)
+    return near.reshape(masks.shape)
+
+
 def bf_match_fraction_kdtree(points, targets, tol):
     """``bf_match_fraction_naive`` through a k-d tree: each point's nearest
     target, found by ``scipy.spatial.cKDTree``, is a hit when its integer

@@ -51,6 +51,13 @@ def _same(k, dilation):
     return 1, dilation, dilation * (k - 1) // 2
 
 
+def _set_band(m, positions):
+    """Bands of ``positions`` output positions per image (whole rows, at
+    least one) at every batch size: none widens toward ``WIDE``."""
+    m.setattr(layers, "BAND", positions)
+    m.setattr(layers, "WIDE", positions)
+
+
 def test_conv_all_ones_single_window():
     x = Tensor(np.ones((1, 1, 3, 3)))
     out = conv2d(x, _params(np.ones((1, 1, 3, 3))))
@@ -191,7 +198,7 @@ def test_conv_same_padded_matches_loop_oracles(n, c, h, w, k, dilation, band, se
     geom = _same(k, dilation)
     want_gx, want_gk = conv2d_grads_naive(x, kern, g, *geom)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(layers, "BAND", band)
+        _set_band(m, band)
         xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
         out = conv2d(xt, ConvParams(kt, bt, dilation))
         gx, gk, gb = out.node.backward_fn(g)
@@ -282,7 +289,7 @@ def test_conv_threads_do_not_share_columns():
         p = ConvParams(Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True),
                        Tensor(rng.normal(size=4)), 1 + i % 2)
         out = conv2d(x, p)
-        assert out.shape[2] > 2 * layers.band_rows(out.shape[3])
+        assert out.shape[2] > 2 * layers.band_rows(2, out.shape[3], p.kernel.size)
         g = rng.normal(size=out.shape)
         jobs.append((x, p, g, out.data, out.node.backward_fn(g)))
     mismatches = []
@@ -335,10 +342,11 @@ def test_conv_results_do_not_depend_on_band_size(monkeypatch):
         g = rng.normal(size=(n, 4, h, w))
         runs = []
         for band in (1, 17, 10 ** 6):  # one row per band, several, one band
-            monkeypatch.setattr(layers, "BAND", band)
+            _set_band(monkeypatch, band)
             runs.append(_conv_fwd_bwd(x, k, b, g, dilation))
             if band == 17:  # several bands, the last one short
-                assert h > layers.band_rows(w) and h % layers.band_rows(w)
+                rows = layers.band_rows(n, w, k.size)
+                assert h > rows and h % rows
         geom = _same(kk, dilation)
         want_gx, want_gk = conv2d_grads_naive(x, k, g, *geom)
         for out, gx, gk, gb in runs:
@@ -356,13 +364,13 @@ def test_conv_results_do_not_depend_on_band_size(monkeypatch):
 
 
 def test_conv_bands_large_enough_to_thread_match_einsum(monkeypatch):
-    # at the shipped band size, each band's products are 16 x 144 x 128
-    # multiply-adds per image, which OpenBLAS splits across threads when it
-    # has more than one
+    # at the shipped band size for two images, each band's products are
+    # 16 x 144 x 256 multiply-adds per image, which OpenBLAS splits across
+    # threads when it has more than one
     rng = np.random.default_rng(18)
     x, k = rng.normal(size=(2, 16, 32, 64)), rng.normal(size=(16, 16, 3, 3))
     g = rng.normal(size=(2, 16, 32, 64))
-    assert layers.band_rows(64) * 64 == 128
+    assert layers.band_rows(2, 64, k.size) * 64 == 256
     shipped = _conv_fwd_bwd(x, k, np.zeros(16), g, 1)
     monkeypatch.setattr(layers, "BAND", 10 ** 6)
     whole = _conv_fwd_bwd(x, k, np.zeros(16), g, 1)
@@ -402,7 +410,7 @@ def test_conv_1x1_reads_its_input_as_columns(monkeypatch):
     x, g = rng.normal(size=(3, 5, 9, 8)), rng.normal(size=(3, 4, 9, 8))
     k, b = rng.normal(size=(4, 5, 1, 1)), rng.normal(size=4)
     for band in (1, 17, 10 ** 6):  # one row per band, 2 rows, one band
-        monkeypatch.setattr(layers, "BAND", band)
+        _set_band(monkeypatch, band)
         as_is, wrote_grid = _one_by_one_fwd_bwd(x, k, b, g, monkeypatch)
         assert not wrote_grid
         # views that are not C-contiguous go through the zero grid
@@ -452,8 +460,10 @@ def test_conv_scratch_holds_grid_and_one_band():
     t = threading.Thread(target=work)
     t.start()
     t.join(timeout=60)
-    rows = layers.band_rows(20)
-    assert rows < 40
+    # fewer than four images widen a band toward WIDE positions in all: for
+    # two images, twice BAND's positions per image
+    rows = layers.band_rows(2, 20, p.kernel.size)
+    assert rows == 2 * layers.BAND // 20 < 40
     # zero grid (forward: 3 channels, backward: 4) plus one band of columns
     want = max(2 * c * 42 * 22 + 2 * c * 9 * rows * 20 for c in (3, 4))
     assert sizes == [want]
@@ -492,7 +502,7 @@ def test_gradcheck_banded_kernel_case_spans_several_bands(monkeypatch):
     (x_shape, out_shape), = calls
     # forward bands cover the output's rows, backward bands the input's
     for h, w in (out_shape[2:], x_shape[2:]):
-        assert h > layers.band_rows(w)
+        assert h > layers.band_rows(x_shape[0], w, kern.size)
     monkeypatch.undo()
     assert grad_check(f, kern) < TOLERANCE
 

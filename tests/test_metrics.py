@@ -10,6 +10,7 @@ from advseg.labelmap import VOID
 from advseg.layers import local_contrast_normalize
 from advseg.metrics import (
     BFConfig,
+    _within_tolerance,
     bf_score,
     confusion,
     evaluate_predictions,
@@ -30,6 +31,7 @@ from oracles import (
     boundary_points,
     boundary_points_naive,
     confusion_naive,
+    dilate_disk_naive,
 )
 
 
@@ -338,6 +340,37 @@ def _map_pairs(draw):
 def test_bf_equals_naive_oracle_property(case):
     pred, gt, c, tol = case
     assert _bf_at(pred, gt, c, tol) == _bf_naive(pred, gt, c, tol)
+
+
+@st.composite
+def _masks_and_tolerance(draw):
+    planes, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.booleans(), min_size=planes * h * w,
+                              max_size=planes * h * w))
+        masks = np.array(cells, dtype=bool).reshape(planes, h, w)
+    else:  # a few points, so that the disk's edge decides most pixels
+        masks = np.zeros((planes, h, w), dtype=bool)
+        points = st.tuples(st.integers(0, planes - 1), st.integers(0, h - 1),
+                           st.integers(0, w - 1))
+        for point in draw(st.lists(points, max_size=4)):
+            masks[point] = True
+    extent = max(h, w)
+    tol = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 2.0 * extent, allow_nan=False).filter(lambda t: t != int(t)),
+        st.floats(float(extent), 4.0 * extent),  # a disk wider than the image
+        st.integers(0, 2 * extent * extent).map(math.sqrt)))
+    return masks, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks_and_tolerance())
+def test_within_tolerance_equals_brute_force_disk_dilation(case):
+    masks, tol = case
+    near = _within_tolerance(masks, tol)
+    assert near.dtype == bool and near.shape == masks.shape
+    assert near.tobytes() == dilate_disk_naive(masks, tol).tobytes()
 
 
 def test_evaluate_split_builds_no_graph_and_matches_graph_forward(monkeypatch):

@@ -260,14 +260,20 @@ def test_rewritten_primitives_match_numpy_bit_for_bit():
     # clamp and sigmoid clip through np.minimum/np.maximum, and the reductions
     # call np.add.reduce: each must give the bits of the numpy formulation
     # written here, on ties with the bounds and at lengths that leave
-    # vector loops different tails
+    # vector loops different tails; relu and clamp, on an operand that
+    # needs no gradient, give a result without a graph
     rng = np.random.default_rng(17)
     for n in (0, 1, 3, 8, 17, 1000):
         x = rng.permutation(np.concatenate([EDGES, rng.normal(scale=20.0, size=n)]))
         for lo, hi in ((0.0, 2.5), (-0.0, 0.0), (0.0, -0.0), (2.5, 2.5),
                        (PROB_EPS, 1.0 - PROB_EPS), (-30.0, 30.0)):
-            assert clamp(Tensor(x), lo, hi).data.tobytes() == \
-                np.clip(x, lo, hi).tobytes(), (n, lo, hi)
+            out = clamp(Tensor(x), lo, hi)
+            assert out.node is None
+            assert out.data.tobytes() == np.clip(x, lo, hi).tobytes(), (n, lo, hi)
+        for s in (0.0, -0.0, 2.5):
+            out = max_with_scalar(Tensor(x), s)
+            assert out.node is None
+            assert out.data.tobytes() == np.maximum(x, s).tobytes(), (n, s)
         z = np.clip(x, -30.0, 30.0)
         assert sigmoid(Tensor(x)).data.tobytes() == \
             (1.0 / (1.0 + np.exp(-z))).tobytes(), n

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import advseg.layers as L
 import advseg.networks as N
 import advseg.tensor as T
 import advseg.training as TR
 from advseg.encodings import EncodingKind, build_adv_pair
 from advseg.layers import local_contrast_normalize
-from advseg.metrics import evaluate_split
+from advseg.metrics import evaluate_split, segment
 from advseg.networks import forward, receptive_field
 from advseg.tensor import Tensor, backward, reduce_sum
 from advseg.toyscenes import SceneSpec, make_dataset
@@ -778,6 +779,71 @@ def test_segmenter_batch_rows_equal_each_image_alone(
         assert alone.tobytes() == whole[i:i + 1].tobytes()
     tail = forward(spec, params, Tensor(images[1:])).data
     assert tail.tobytes() == whole[1:].tobytes()
+
+
+def _band_rows_spy(monkeypatch) -> list:
+    """(n, output width, rows) of every band size a conv pass takes."""
+    calls = []
+    real = L.band_rows
+
+    def spy(n, wout, macs):
+        rows = real(n, wout, macs)
+        calls.append((n, wout, rows))
+        return rows
+
+    monkeypatch.setattr(L, "band_rows", spy)
+    return calls
+
+
+def test_segment_maps_equal_rows_of_a_batch_at_full_size(monkeypatch):
+    """At 64x64 one image's bands are wider than a batch of four's, and its
+    map from ``metrics.segment`` is still that image's row of the batch's,
+    bit for bit."""
+    spec = N.build_segmenter(3)
+    params = N.init_params(spec, 0)
+    samples = make_dataset(SceneSpec(seed=3), 0, 4).val
+    calls = _band_rows_spy(monkeypatch)
+    whole = forward(spec, N.detach_params(params),
+                    Tensor(np.stack([s.image for s in samples]))).data
+    batch_bands = calls[:]
+    del calls[:]
+    for i, probs in enumerate(segment(spec, params, samples)):
+        assert probs.tobytes() == whole[i:i + 1].tobytes(), i
+    assert {n for n, _, _ in batch_bands} == {4} and {n for n, _, _ in calls} == {1}
+    assert [w for _, w, _ in calls] == [w for _, w, _ in batch_bands] * 4
+    assert any(one > four for (_, _, one), (_, _, four) in zip(calls, batch_bands))
+
+
+def test_turns_at_readme_config_band_by_batch(monkeypatch):
+    """A batch-4 turn of either player gives every conv pass 128 output
+    positions per image in whole rows. An adversary turn whose batch the
+    store partly holds forwards the frozen segmenter on the two scenes it
+    lacks, on wider bands, and the maps it stores are still those scenes'
+    rows of a batch-4 forward, bit for bit."""
+    cfg = TrainConfig(slr=0.0003, alr=0.1, lam=1.0, scheme="slow", block_len=50,
+                      batch_size=4, encoding=EncodingKind("basic"),
+                      adversary_fov="large", adversary_capacity="full")
+    ds = make_dataset(SceneSpec(seed=0), 6, 1)
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+    batch = make_batch(ds.train, [0, 1, 2, 3], cfg, stride)
+    calls = _band_rows_spy(monkeypatch)
+    for player in (SEGMENTER, ADVERSARY):
+        del calls[:]
+        train_iteration(state, batch, player=player)
+        assert calls and {n for n, _, _ in calls} >= {4}, player
+        for n, w, rows in calls:
+            assert rows == max(1, 128 // w), (player, n, w, rows)
+    del calls[:]
+    batch = make_batch(ds.train, [2, 4, 3, 5], cfg, stride)
+    train_iteration(state, batch, player=ADVERSARY)
+    pair = [(w, rows) for n, w, rows in calls if n == 2]
+    assert pair and any(rows > max(1, 128 // w) for w, rows in pair)
+    for n, w, rows in calls:
+        assert n == 2 or rows == max(1, 128 // w), (n, w, rows)
+    whole = forward(state.seg_spec, N.detach_params(state.seg_params),
+                    Tensor(batch.images)).data
+    assert frozen_segmenter_probs(state, batch).data.tobytes() == whole.tobytes()
 
 
 def _count_lcn(monkeypatch) -> list:
