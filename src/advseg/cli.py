@@ -273,7 +273,8 @@ def _load_checkpoint(args):
 
     The config is the effective one, except that ``TRAINED_KEYS`` take the
     values of the ``config.echo`` that ``train`` wrote next to the
-    checkpoint; a value given on the command line that differs is an error.
+    checkpoint; a value given on the command line that parses to another
+    value is an error.
     The segmenter is built from the config as ``train`` built it, and the
     checkpoint must hold exactly its parameters.
     """
@@ -287,13 +288,14 @@ def _load_checkpoint(args):
     missing = [key for key in TRAINED_KEYS if key not in trained]
     if missing:
         raise CliError(f"{echo_path} does not set {', '.join(missing)}", EXIT_FAIL)
-    cfg = {**DEFAULTS, **{key: trained[key] for key in TRAINED_KEYS}, **given}
-    tcfg = train_config_from(cfg)
+    as_trained = {key: trained[key] for key in TRAINED_KEYS}
+    cfg = {**DEFAULTS, **as_trained, **given}
+    tcfg, was = train_config_from(cfg), train_config_from({**DEFAULTS, **as_trained})
     for key in TRAINED_KEYS:
-        if cfg[key] != trained[key]:
+        if getattr(tcfg, key) != getattr(was, key):
             raise CliError(
-                f"{key}={cfg[key]}, but the checkpoint in {ckpt_dir} was "
-                f"trained with {key}={trained[key]}", EXIT_FAIL)
+                f"{key}={getattr(tcfg, key)}, but the checkpoint in {ckpt_dir} was "
+                f"trained with {key}={getattr(was, key)}", EXIT_FAIL)
     spec = TR.network_specs(tcfg)[0]
     try:
         params = N.load_params(params_path, spec)

@@ -88,13 +88,10 @@ def _elementwise_cases():
     b = T.Tensor(rng.uniform(0.4, 1.5, size=(3, 2)))
     yield "add", a, lambda t: _sq_sum(T.add(t, b))
     yield "add_scalar", a, lambda t: _sq_sum(T.add(t, 0.7))
-    yield "sub", a, lambda t: _sq_sum(T.sub(t, b))
     yield "mul", a, lambda t: _sq_sum(T.mul(t, b))
     yield "mul_scalar", a, lambda t: _sq_sum(T.mul(t, -1.3))
-    yield "neg", a, lambda t: _sq_sum(T.neg(t))
     yield "log", a, lambda t: _sq_sum(T.log(t))
-    # a's elements stay at least 0.3 from the kink / clamp edges
-    yield "max_with_scalar", a, lambda t: _sq_sum(T.max_with_scalar(t, 0.0))
+    # a's elements stay at least 0.3 from the clamp edges
     yield "clamp", a, lambda t: _sq_sum(T.clamp(t, 0.0, 2.5))
 
 

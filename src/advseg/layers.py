@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _make, max_with_scalar
+from .tensor import ShapeError, Tensor, _make
 
 # per-thread scratch memory for _correlate: the zero grid plus one band of
 # columns, grown (never shrunk) to the largest request so far; every call
@@ -248,7 +248,12 @@ def maxpool2(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    return max_with_scalar(x, 0.0)
+    """Elementwise max(x, 0). Ties (x == 0) pass zero gradient."""
+    out = np.maximum(x.data, 0.0)
+    if not x.requires_grad:  # no graph, so no rule reads a mask
+        return Tensor(out)
+    mask = x.data > 0.0
+    return _make(out, "relu", [x], lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ before any log so every objective stays finite.
 
 from __future__ import annotations
 
-from .tensor import ShapeError, Tensor, clamp, log, mul, neg, reduce_mean, reduce_sum
+from .tensor import ShapeError, Tensor, add, clamp, log, mul, reduce_mean, reduce_sum
 
 PROB_EPS = 1e-7
 
@@ -24,7 +24,7 @@ def mce_loss(pred: Tensor, target_onehot) -> Tensor:
     if target_onehot.shape != pred.shape:
         raise ShapeError(f"target shape {target_onehot.shape} != pred shape {pred.shape}")
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    return neg(reduce_sum(mul(log(p), Tensor(target_onehot))))
+    return mul(reduce_sum(mul(log(p), Tensor(target_onehot))), -1.0)
 
 
 def bce_loss(pred: Tensor, target: int) -> Tensor:
@@ -34,8 +34,8 @@ def bce_loss(pred: Tensor, target: int) -> Tensor:
     if target not in (0, 1):
         raise ValueError(f"bce target must be 0 or 1, got {target!r}")
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    per_cell = neg(log(p)) if target == 1 else neg(log((-p) + 1.0))
-    return reduce_sum(reduce_mean(per_cell, axes=(1, 2, 3)))
+    q = p if target == 1 else add(mul(p, -1.0), 1.0)  # the target's probability
+    return reduce_sum(reduce_mean(mul(log(q), -1.0), axes=(1, 2, 3)))
 
 
 def adversary_objective(adv_on_gt: Tensor, adv_on_pred: Tensor) -> Tensor:
@@ -45,7 +45,7 @@ def adversary_objective(adv_on_gt: Tensor, adv_on_pred: Tensor) -> Tensor:
     Callers must detach the segmenter outputs feeding ``adv_on_pred`` so no
     gradient reaches the segmenter.
     """
-    return bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
+    return add(bce_loss(adv_on_gt, 1), bce_loss(adv_on_pred, 0))
 
 
 def segmenter_objective(seg_out: Tensor, target_onehot, adv_on_pred: Tensor | None,
@@ -63,6 +63,6 @@ def segmenter_objective(seg_out: Tensor, target_onehot, adv_on_pred: Tensor | No
     if adv_on_pred is None:
         raise ValueError("adversary output required when lambda > 0")
     if modified_update:
-        return loss + mul(bce_loss(adv_on_pred, 1), lam)
-    return loss - mul(bce_loss(adv_on_pred, 0), lam)
+        return add(loss, mul(bce_loss(adv_on_pred, 1), lam))
+    return add(loss, mul(bce_loss(adv_on_pred, 0), -lam))
 

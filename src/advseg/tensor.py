@@ -130,16 +130,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar: ``t + tensor_or_scalar``, ``t - tensor`` and ``-t``.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def _make(data: np.ndarray, op_kind: str, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
@@ -168,13 +158,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + s, "add", [a], lambda g: (g,))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    need_a, need_b = a.requires_grad, b.requires_grad
-    return _make(a.data - b.data, "sub", [a, b], lambda g: (g if need_a else None,
-                                                            -g if need_b else None))
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a tensor or a scalar. Backward computes, and
     keeps the factor for, only the gradients of operands that required one
@@ -191,25 +174,11 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.data * s, "mul", [a], lambda g: (g * s,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", [a], lambda g: (-g,))
-
-
 def log(a: Tensor) -> Tensor:
     if (a.data <= 0.0).any():
         raise ValueError("log: non-positive input; clamp upstream")
     ad = a.data
     return _make(np.log(ad), "log", [a], lambda g: (g / ad,))
-
-
-def max_with_scalar(a: Tensor, s: float) -> Tensor:
-    """Elementwise max(a, s). Ties (a == s) pass zero gradient."""
-    s = float(s)
-    out = np.maximum(a.data, s)
-    if not a.requires_grad:  # no graph, so no rule reads a mask
-        return Tensor(out)
-    mask = a.data > s
-    return _make(out, "max_with_scalar", [a], lambda g: (g * mask,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:

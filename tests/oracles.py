@@ -16,7 +16,7 @@ from advseg.labelmap import VOID
 from advseg.losses import PROB_EPS, bce_loss, mce_loss
 from advseg.metrics import boundary_mask
 from advseg.networks import NetSpec, rf_geometry
-from advseg.tensor import (Tensor, clamp, concat_channels, log, mul, neg, reduce_sum,
+from advseg.tensor import (Tensor, add, clamp, concat_channels, log, mul, reduce_sum,
                            slice_channels)
 
 
@@ -252,6 +252,53 @@ def min_kl_given_floor(s, true_class, tau):
     return best
 
 
+# Complex128 forwards of the two players' objectives, written from the
+# formulas in the ``losses`` docstrings for the complex-step derivative:
+# for a real-analytic f, Im f(x + i h v) / h = v . grad f(x) + O(h^2) with
+# no subtractive cancellation, so h = 1e-30 gives it to rounding.
+
+
+def clamp_complex(z, lo, hi):
+    """Clamp into [lo, hi] with the branch chosen on ``z.real``: ``z`` where
+    lo <= Re z <= hi, ties included, so the derivative passes there; the
+    real bound outside, so the derivative is zero there."""
+    inside = (z.real >= lo) & (z.real <= hi)
+    return np.where(inside, z, np.clip(z.real, lo, hi))
+
+
+def mce_complex(pred, target_onehot):
+    """-sum_i sum_c y_ic ln(clamp(pred_ic))."""
+    p = clamp_complex(pred, PROB_EPS, 1.0 - PROB_EPS)
+    return -np.sum(target_onehot * np.log(p))
+
+
+def bce_complex(pred, target):
+    """sum_n mean_cells -ln(q), with q = p for target 1 and 1 - p for 0."""
+    p = clamp_complex(pred, PROB_EPS, 1.0 - PROB_EPS)
+    q = p if target == 1 else 1.0 - p
+    return np.sum(np.mean(-np.log(q), axis=(1, 2, 3)))
+
+
+def adversary_objective_complex(adv_on_gt, adv_on_pred):
+    """bce(a(x, y), 1) + bce(a(x, s(x)), 0)."""
+    return bce_complex(adv_on_gt, 1) + bce_complex(adv_on_pred, 0)
+
+
+def adversarial_term_complex(adv_on_pred, lam, modified_update):
+    """The segmenter's adversarial term: lam * bce(a(x, s(x)), 1) in the
+    modified update, -lam * bce(a(x, s(x)), 0) in the original."""
+    if modified_update:
+        return lam * bce_complex(adv_on_pred, 1)
+    return -lam * bce_complex(adv_on_pred, 0)
+
+
+def segmenter_objective_complex(seg_out, target_onehot, adv_on_pred, lam,
+                                modified_update):
+    """mce plus the adversarial term."""
+    return (mce_complex(seg_out, target_onehot)
+            + adversarial_term_complex(adv_on_pred, lam, modified_update))
+
+
 # ---------------------------------------------------------------------------
 # test-only helpers over the package's own pieces
 
@@ -263,7 +310,7 @@ def mce_reference(pred: Tensor, target, mask) -> Tensor:
     must equal it bit for bit."""
     weights = np.asarray(target, dtype=np.float64) * np.asarray(mask)[:, None]
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    return neg(reduce_sum(mul(log(p), Tensor(weights))))
+    return mul(reduce_sum(mul(log(p), Tensor(weights))), -1.0)
 
 
 def hybrid_loss(seg_out: Tensor, target_onehot,
@@ -273,8 +320,8 @@ def hybrid_loss(seg_out: Tensor, target_onehot,
     loss = mce_loss(seg_out, target_onehot)
     if lam == 0.0:
         return loss
-    bracket = bce_loss(adv_on_gt, 1) + bce_loss(adv_on_pred, 0)
-    return loss - mul(bracket, lam)
+    bracket = add(bce_loss(adv_on_gt, 1), bce_loss(adv_on_pred, 0))
+    return add(loss, mul(bracket, -lam))
 
 
 def adv_pair_reference(image, labels, seg_out: Tensor, enc):

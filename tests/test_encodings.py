@@ -12,7 +12,7 @@ from advseg.encodings import (
     one_hot,
 )
 from advseg.labelmap import VOID
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul, reduce_sum
+from advseg.tensor import ShapeError, Tensor, add, backward, grad_check, mul, reduce_sum
 
 from oracles import adv_pair_reference, kl_divergence, min_kl_given_floor
 
@@ -260,7 +260,7 @@ def test_build_adv_pair_gradient_only_through_pred():
     labels = rng.integers(0, 2, size=(1, 2, 2))
     labels[0, 1, 0] = VOID
     gt, pred = build_adv_pair(None, labels, seg, EncodingKind("scaling", tau=0.9))
-    backward(reduce_sum(pred) + reduce_sum(gt))
+    backward(add(reduce_sum(pred), reduce_sum(gt)))
     assert seg.grad is not None
     labelled = (labels != VOID)[:, None]
     np.testing.assert_array_equal(seg.grad, np.broadcast_to(labelled, seg.shape))

@@ -196,27 +196,28 @@ def _failed(results):
 
 
 def test_corrupt_mul_fails_every_case_that_records_a_mul(monkeypatch):
-    # the losses, encodings and segmenter cases import mul by name; the
-    # adversary objective (bce on the adversary's sigmoid grid) records none
+    # every case squares its output or goes through a loss, and the losses
+    # negate by multiplying with -1, so every case records a mul
     recording = _cases_recording("mul", monkeypatch)
-    assert len(recording) == 40
+    assert recording == [name for name, _, _ in G.iter_cases()]
+    assert len(recording) == 52
     assert sum(name.startswith("end_to_end_seg[") for name in recording) == 8
-    assert not any(name.startswith("end_to_end_adv[") for name in recording)
+    assert sum(name.startswith("end_to_end_adv[") for name in recording) == 12
     assert _failed(G.run_suite(corrupt_op="mul")) == recording
 
 
 def test_corrupt_relu_fails_every_case_that_records_a_relu(monkeypatch):
-    recording = _cases_recording("max_with_scalar", monkeypatch)
-    assert len(recording) == 20
+    recording = _cases_recording("relu", monkeypatch)
+    assert len(recording) == 19
     assert sum(name.startswith("end_to_end_seg[") for name in recording) == 8
     assert sum(name.startswith("end_to_end_adv[") for name in recording) == 10
-    assert _failed(G.run_suite(corrupt_op="max_with_scalar")) == recording
+    assert _failed(G.run_suite(corrupt_op="relu")) == recording
 
 
 def test_corrupt_conv2d_fails_every_conv_case_and_every_end_to_end_case(monkeypatch):
     recording = _cases_recording("conv2d", monkeypatch)
     names = [name for name, _, _ in G.iter_cases()]
-    assert len(names) == 55
+    assert len(names) == 52
     assert recording == [name for name in names
                          if name.startswith(("conv2d", "end_to_end_"))]
     assert len(recording) == 26

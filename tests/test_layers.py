@@ -655,6 +655,14 @@ def test_relu_values():
         relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
 
+def test_relu_tie_gives_zero_grad():
+    x = Tensor([0.0, 1.0, -1.0, -0.0], requires_grad=True)
+    out = relu(x)
+    assert out.node.op_kind == "relu"
+    backward(reduce_sum(out))
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
+
+
 def test_channel_softmax_uniform_on_zeros():
     out = channel_softmax(Tensor(np.zeros((1, 3, 2, 2))))
     np.testing.assert_allclose(out.data, 1.0 / 3.0, rtol=1e-15)

@@ -5,11 +5,14 @@ import pytest
 
 from advseg.encodings import EncodingKind, build_adv_pair, one_hot
 from advseg.labelmap import VOID
-from advseg.losses import adversary_objective, bce_loss, mce_loss, segmenter_objective
+from advseg.losses import (PROB_EPS, adversary_objective, bce_loss, mce_loss,
+                           segmenter_objective)
 from advseg.networks import build_adversary, detach_params, forward, init_params
-from advseg.tensor import ShapeError, Tensor, backward, grad_check, mul
+from advseg.tensor import (ShapeError, Tensor, add, backward, grad_check, mul,
+                           overridden_backward)
 
-from oracles import hybrid_loss, mce_reference
+from oracles import (adversarial_term_complex, adversary_objective_complex, bce_complex,
+                     hybrid_loss, mce_complex, mce_reference, segmenter_objective_complex)
 
 LN2 = math.log(2.0)
 
@@ -233,11 +236,11 @@ def test_mce_and_objectives_match_the_masked_reference_bit_for_bit():
             == run(lambda p: mce_reference(p, target, mask)))
     lam = 0.7
     assert (run(lambda p: segmenter_objective(p, target, adv_on(p), lam, True))
-            == run(lambda p: mce_reference(p, target, mask)
-                   + mul(bce_loss(adv_on(p), 1), lam)))
+            == run(lambda p: add(mce_reference(p, target, mask),
+                                 mul(bce_loss(adv_on(p), 1), lam))))
     assert (run(lambda p: segmenter_objective(p, target, adv_on(p), lam, False))
-            == run(lambda p: mce_reference(p, target, mask)
-                   - mul(bce_loss(adv_on(p), 0), lam)))
+            == run(lambda p: add(mce_reference(p, target, mask),
+                                 mul(bce_loss(adv_on(p), 0), -lam))))
 
     # negative control: a target row that is nonzero at a VOID pixel is
     # scored by the loss but masked out by the reference
@@ -246,3 +249,116 @@ def test_mce_and_objectives_match_the_masked_reference_bit_for_bit():
     loss, grad = run(lambda p: mce_loss(p, stray))
     ref_loss, ref_grad = run(lambda p: mce_reference(p, stray, mask))
     assert loss != ref_loss and grad != ref_grad
+
+
+# ---------------------------------------------------------------------------
+# complex-step oracle: each objective's directional derivative to rounding
+
+STEP = 1e-30
+COMPLEX_STEP_RTOL = 1e-12
+
+
+def _complex_step_instance():
+    """(4, 4, 32, 32) simplex maps with VOID pixels and their one-hot
+    targets, and two (4, 1, 8, 8) adversary grids. A few probabilities sit
+    below and above the clamp, where no gradient passes, and one target
+    probability sits exactly on the upper bound, where it does. (A tie that
+    the loss divides by 1e-7 would outweigh every other entry's share of
+    the derivative, so there is none.)"""
+    rng = np.random.default_rng(33)
+    maps = _softmax_like(rng, (4, 4, 32, 32))
+    maps[0, :, 0, :2] = [[1.0 - 3e-9, 1.0 - PROB_EPS], [1e-9, PROB_EPS],
+                         [1e-9, 0.0], [1e-9, 0.0]]
+    labels = rng.integers(0, 4, size=(4, 32, 32))
+    labels[:, :3, 5:9] = VOID
+    labels[2, 20:, 30] = VOID
+    labels[0, 0, :2] = [1, 0]
+    grids = rng.uniform(0.05, 0.95, size=(2, 4, 1, 8, 8))
+    grids[:, 1, 0, 0, :2] = [1e-9, 1.0 - 1e-12]
+    return maps, one_hot(labels, 4), grids[0], grids[1]
+
+
+def _gradients(loss_of, inputs):
+    """The gradient of ``loss_of`` with respect to each input, by backward."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+    backward(loss_of(*leaves))
+    return [np.zeros_like(a) if t.grad is None else t.grad for a, t in zip(inputs, leaves)]
+
+
+def _complex_step_error(grads, oracle, inputs, seed):
+    """The largest relative difference, over 3 seeded unit directions v,
+    between v . grads and Im oracle(inputs + i STEP v) / STEP."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(3):
+        v = [rng.normal(size=a.shape) for a in inputs]
+        norm = math.sqrt(sum(np.sum(d * d) for d in v))
+        v = [d / norm for d in v]
+        want = oracle(*[a + 1j * STEP * d for a, d in zip(inputs, v)]).imag / STEP
+        got = sum(np.sum(g * d) for g, d in zip(grads, v))
+        worst = max(worst, abs(got - want) / abs(want))
+    return worst
+
+
+def _objective_cases():
+    """(name, inputs, engine objective, complex oracle) per objective."""
+    maps, target, grid_a, grid_b = _complex_step_instance()
+    yield "mce_loss", [maps], lambda p: mce_loss(p, target), \
+        lambda p: mce_complex(p, target)
+    for t in (1, 0):
+        yield f"bce_loss_t{t}", [grid_a], lambda g, t=t: bce_loss(g, t), \
+            lambda g, t=t: bce_complex(g, t)
+    yield "adversary_objective", [grid_a, grid_b], adversary_objective, \
+        adversary_objective_complex
+    for lam in (1.0, 0.7):
+        for modified in (True, False):
+            yield (f"segmenter_objective[lam={lam},modified={modified}]", [maps, grid_b],
+                   lambda p, g, lam=lam, m=modified:
+                       segmenter_objective(p, target, g, lam, m),
+                   lambda p, g, lam=lam, m=modified:
+                       segmenter_objective_complex(p, target, g, lam, m))
+
+
+def _adversarial_term_cases():
+    """(name, inputs, gradients of the lambda objective minus those of the
+    lambda = 0 one, complex oracle of the adversarial term alone)."""
+    maps, target, _, grid = _complex_step_instance()
+    for lam in (1.0, 0.7):
+        for modified in (True, False):
+            def objective(lam_, m=modified):
+                return lambda p, g: segmenter_objective(p, target, g, lam_, m)
+
+            yield (f"adversarial_term[lam={lam},modified={modified}]", [maps, grid],
+                   [a - b for a, b in zip(_gradients(objective(lam), [maps, grid]),
+                                          _gradients(objective(0.0), [maps, grid]))],
+                   lambda p, g, lam=lam, m=modified: adversarial_term_complex(g, lam, m))
+
+
+def _complex_step_errors():
+    errors = {}
+    for k, (name, inputs, loss_of, oracle) in enumerate(_objective_cases()):
+        errors[name] = _complex_step_error(_gradients(loss_of, inputs), oracle, inputs, k)
+    for k, (name, inputs, grads, oracle) in enumerate(_adversarial_term_cases()):
+        errors[name] = _complex_step_error(grads, oracle, inputs, 100 + k)
+    return errors
+
+
+def test_objective_gradients_match_the_complex_step_oracle():
+    maps, target, grid_a, grid_b = _complex_step_instance()
+    # the oracle's real part is the engine's objective
+    assert math.isclose(mce_complex(maps + 0j, target).real,
+                        mce_loss(Tensor(maps), target).item(), rel_tol=1e-13)
+    assert math.isclose(adversary_objective_complex(grid_a + 0j, grid_b + 0j).real,
+                        adversary_objective(Tensor(grid_a), Tensor(grid_b)).item(),
+                        rel_tol=1e-13)
+    errors = _complex_step_errors()
+    assert len(errors) == 12
+    assert max(errors.values()) < COMPLEX_STEP_RTOL, errors
+
+
+def test_complex_step_check_fails_with_a_mul_rule_off_by_1e_6():
+    # every objective and every adversarial term records a mul
+    with overridden_backward("mul", lambda grads: tuple(
+            None if g is None else g * (1.0 + 1e-6) for g in grads)):
+        errors = _complex_step_errors()
+    assert min(errors.values()) > 1e3 * COMPLEX_STEP_RTOL, errors

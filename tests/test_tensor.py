@@ -6,7 +6,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from advseg.gradcheck import TOLERANCE
-from advseg.layers import sigmoid
+from advseg.layers import relu, sigmoid
 from advseg.losses import PROB_EPS
 from advseg.tensor import (
     GraphError,
@@ -19,15 +19,12 @@ from advseg.tensor import (
     grad_check,
     graph_order,
     log,
-    max_with_scalar,
     mul,
-    neg,
     overridden_backward,
     reduce_mean,
     reduce_sum,
     slice_batch,
     slice_channels,
-    sub,
 )
 
 
@@ -38,7 +35,7 @@ def test_scalar_scaling():
 
 def test_additive_inverse():
     x = Tensor([[1.0, -2.0], [0.5, 7.0]])
-    out = add(x, neg(x))
+    out = add(x, mul(x, -1.0))
     np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
 
@@ -148,18 +145,14 @@ def test_backward_accumulates_and_resets():
     np.testing.assert_array_equal(x.grad, first)
 
 
-def test_mul_and_sub_rules_return_no_gradient_for_a_constant():
+def test_mul_rule_returns_no_gradient_for_a_constant():
     x, c = Tensor([1.0, -2.0], requires_grad=True), Tensor([3.0, 4.0])
     g = np.array([0.5, 2.0])
-    for op, want_x in ((mul, [1.5, 8.0]), (sub, [0.5, 2.0])):
-        gx, gc = op(x, c).node.backward_fn(g)
-        np.testing.assert_array_equal(gx, want_x)
-        assert gc is None
-    gc, gx = mul(c, x).node.backward_fn(g)
+    gx, gc = mul(x, c).node.backward_fn(g)
     np.testing.assert_array_equal(gx, [1.5, 8.0])
     assert gc is None
-    gc, gx = sub(c, x).node.backward_fn(g)
-    np.testing.assert_array_equal(gx, [-0.5, -2.0])
+    gc, gx = mul(c, x).node.backward_fn(g)
+    np.testing.assert_array_equal(gx, [1.5, 8.0])
     assert gc is None
 
 
@@ -202,7 +195,7 @@ def test_composed_graph_matches_finite_differences():
 
     def f(t):
         a = mul(t, t)
-        b = sigmoid(neg(clamp(t, -1.5, 1.5)))
+        b = sigmoid(mul(clamp(t, -1.5, 1.5), -1.0))
         c = mul(a, log(add(b, 1.0)))
         return reduce_sum(mul(c, c))
 
@@ -245,7 +238,7 @@ def test_grad_check_rejects_nonscalar():
 def test_direct_elementwise_and_reduce_ops():
     x = Tensor([1.0, 2.0])
     np.testing.assert_array_equal(add(x, 1.0).data, [2.0, 3.0])
-    np.testing.assert_array_equal(neg(x).data, [-1.0, -2.0])
+    np.testing.assert_array_equal(mul(x, -1.0).data, [-1.0, -2.0])
     np.testing.assert_array_equal(clamp(x, 0.0, 1.5).data, [1.0, 1.5])
     assert reduce_mean(x).item() == 1.5
 
@@ -270,10 +263,9 @@ def test_rewritten_primitives_match_numpy_bit_for_bit():
             out = clamp(Tensor(x), lo, hi)
             assert out.node is None
             assert out.data.tobytes() == np.clip(x, lo, hi).tobytes(), (n, lo, hi)
-        for s in (0.0, -0.0, 2.5):
-            out = max_with_scalar(Tensor(x), s)
-            assert out.node is None
-            assert out.data.tobytes() == np.maximum(x, s).tobytes(), (n, s)
+        out = relu(Tensor(x))
+        assert out.node is None
+        assert out.data.tobytes() == np.maximum(x, 0.0).tobytes(), n
         z = np.clip(x, -30.0, 30.0)
         assert sigmoid(Tensor(x)).data.tobytes() == \
             (1.0 / (1.0 + np.exp(-z))).tobytes(), n
@@ -290,12 +282,6 @@ def test_rewritten_primitives_match_numpy_bit_for_bit():
                         arr.mean(axis=axes).tobytes(), (arr.shape, axes)
             assert reduce_sum(Tensor(arr)).data.tobytes() == arr.sum().tobytes()
             assert reduce_mean(Tensor(arr)).data.tobytes() == arr.mean().tobytes()
-
-
-def test_max_with_scalar_tie_gives_zero_grad():
-    x = Tensor([0.0, 1.0, -1.0], requires_grad=True)
-    backward(reduce_sum(max_with_scalar(x, 0.0)))
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_detach_blocks_gradient():
@@ -326,7 +312,7 @@ def test_determinism_bit_identical():
 
 # leaf, constant and scalar values: the nonzero multiples of 1/8 in [-2, 2]
 _GRID = [k / 8 for k in range(-16, 17) if k]
-_BINARY = {"add": add, "sub": sub, "mul": mul}
+_BINARY = {"add": add, "mul": mul}
 _BOUND = 16.0  # no value of a drawn graph exceeds this in magnitude
 _MAX_STEPS = 8
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)  # one per step
@@ -343,8 +329,6 @@ def _apply(step, vals):
     if kind == "concat":
         return concat_channels([vals[i] for i in args[0]])
     i = args[0]
-    if kind == "neg":
-        return neg(vals[i])
     if kind == "log":
         return log(vals[i])
     if kind == "clamp":
@@ -397,8 +381,7 @@ def _programs(draw):
     steps = []
     for _ in range(draw(st.integers(1, _MAX_STEPS))):
         kind = draw(st.sampled_from(
-            ["const", "add", "sub", "mul", "neg", "log", "clamp", "sum", "mean",
-             "concat", "slice"]))
+            ["const", "add", "mul", "log", "clamp", "sum", "mean", "concat", "slice"]))
         idx = range(len(vals))
         chans = [i for i in idx if vals[i].ndim == 3]
         step = None
@@ -406,13 +389,11 @@ def _programs(draw):
             step = ("const", grid_array((draw(st.integers(1, 3)), 2, 2)))
         elif kind in _BINARY:
             i = draw(st.sampled_from(idx))
-            if kind != "sub" and draw(st.booleans()):  # sub takes no scalar
+            if draw(st.booleans()):
                 step = (kind, i, draw(st.sampled_from(_GRID)))
             else:
                 step = (kind, i, draw(st.sampled_from(
                     [j for j in idx if vals[j].shape == vals[i].shape])))
-        elif kind == "neg":
-            step = ("neg", draw(st.sampled_from(idx)))
         elif kind == "log":
             ok = [i for i in idx if vals[i].data.min() >= 0.25]
             if ok:
@@ -442,7 +423,7 @@ def _programs(draw):
             vals.append(out)
             steps.append(step)
     if not steps:
-        steps.append(("neg", 0))
+        steps.append(("mul", 0, -1.0))
     return leaves, steps
 
 
@@ -465,7 +446,8 @@ _SHARED = np.array([[[0.5, 1.0], [1.5, 2.0]]])
 # an intermediate that feeds several ops, one op that takes the same tensor
 # twice, a leaf that feeds several ops, and constants mixed in
 _EXAMPLES = [
-    ([_SHARED], [("mul", 0, 0), ("log", 1), ("mul", 1, 2), ("sub", 3, 1)]),
+    ([_SHARED], [("mul", 0, 0), ("log", 1), ("mul", 1, 2), ("mul", 1, -1.0),
+                 ("add", 3, 4)]),
     ([_SHARED, -_SHARED], [("add", 0, 1), ("mul", 0, 2), ("const", _SHARED),
                            ("mul", 3, 4), ("concat", (0, 2, 0)), ("slice", 6, 1, 3),
                            ("clamp", 7, -0.75, 1.25), ("mean", 8, (1,))]),

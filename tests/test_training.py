@@ -1,4 +1,6 @@
+import ctypes
 import gc
+import hashlib
 import resource
 import tracemalloc
 import weakref
@@ -923,3 +925,86 @@ def test_a_stored_image_is_freed_with_its_sample():
     del ds, batch, kept
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+# ---------------------------------------------------------------------------
+# the bytes of training, pinned across commits
+
+_PINNED_CONFIGS = {
+    "basic_modified": dict(),
+    "scaling_image_light_original": dict(
+        encoding=EncodingKind("scaling", include_image=True),
+        adversary_capacity="light", modified_update=False),
+    "product_image_small_lcn": dict(
+        encoding=EncodingKind("product", include_image=True),
+        adversary_fov="small", lcn_window=3),
+}
+# recorded at commit 8537444 ("re-anchor @ PR 30: ROADMAP"), before sub, neg
+# and the operator sugar were written as add and mul by -1 and relu became
+# its own op kind; IEEE arithmetic gives the same bits either way. GEMM
+# rounding depends on the OpenBLAS kernel, so there is one set per kernel:
+# SkylakeX (AVX-512) and Haswell (AVX2, also what AMD Zen runs)
+_PINNED_SHA256 = {
+    "SkylakeX": {
+        "basic_modified": "ff4270fbfec8639e3f1bc8490536838af844e52db4424e7d8283db9d43543a4a",
+        "scaling_image_light_original":
+            "c6aaafb4eadf09c3a1baef2085d1f0b33cf5b8bf45a45e57c28ed67e6e218930",
+        "product_image_small_lcn":
+            "635e063b3a00d97500bb44098a4d57866b2905c80050a8acd5f83bbc75f9b3e8",
+    },
+    "Haswell": {
+        "basic_modified": "3683579811a74bd7a475328ebc99f15071915ba7811dd2bc80ec6db3b7cf4710",
+        "scaling_image_light_original":
+            "93e24e4bb357959a93be11652caae0d88ed8b6a042399c47f20a33d10464f0cb",
+        "product_image_small_lcn":
+            "d312592040b480ddd1167017bf264401899f06943be6730087b712b2bd03a927",
+    },
+}
+
+
+def _openblas_core():
+    """The kernel name of the OpenBLAS that numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                corename = getattr(lib, symbol)
+                corename.argtypes, corename.restype = (), ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def _training_sha256(cfg, ds, turns):
+    """SHA-256 over the loss history of ``turns`` turns (each loss as
+    ``float.hex``) and every parameter's bytes after them."""
+    state = init_state(cfg)
+    stride = receptive_field(state.seg_spec)[2]
+    for _ in range(turns):
+        idx = state.rng.choice(len(ds.train), size=cfg.batch_size, replace=False)
+        train_iteration(state, make_batch(ds.train, idx, cfg, stride))
+    h = hashlib.sha256()
+    for it, player, loss in state.loss_history:
+        h.update(f"{it} {player} {float(loss).hex()}\n".encode())
+    for params in (state.seg_params, state.adv_params):
+        for name, t in params.items():
+            h.update(name.encode())
+            h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_training_bytes_match_the_pinned_commit(name):
+    """Six fast-scheme turns at lambda 1 on 16x16 scenes give the losses and
+    parameters, to the bit, that commit 8537444 gave."""
+    core = _openblas_core()
+    if core not in _PINNED_SHA256:
+        pytest.skip(f"no bytes recorded for the OpenBLAS kernel {core}")
+    cfg = TrainConfig(lam=1.0, scheme="fast", batch_size=2, num_classes=3,
+                      channels_base=4, n_context_layers=1, **_PINNED_CONFIGS[name])
+    assert _training_sha256(cfg, tiny_dataset(), 6) == _PINNED_SHA256[core][name]
